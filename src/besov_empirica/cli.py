@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -78,6 +79,32 @@ def _load_config_file(path) -> dict:
     return data
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _config_value(key: str, value, kind):
+    """A config-file value of field type ``kind``, checked and never truncated."""
+    if kind is str:
+        ok, expected = isinstance(value, str), "a string"
+    elif kind is int:
+        ok, expected = _is_int(value), "an integer"
+    elif kind is float:
+        expected = "a finite number"
+        try:
+            ok = (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+        except OverflowError:
+            ok = False
+    else:
+        ok = isinstance(value, list) and all(_is_int(v) for v in value)
+        expected = "a list of integers"
+    if not ok:
+        raise ParameterError(key, f"must be {expected} (got {value!r})")
+    if kind is tuple:
+        return tuple(value)
+    return float(value) if kind is float else value
+
+
 def _experiment_config(args, defaults: dict | None = None) -> montecarlo.ExperimentConfig:
     """Merge command defaults, config-file settings, and flags (flags win)."""
     settings = dict(defaults or {})
@@ -85,8 +112,8 @@ def _experiment_config(args, defaults: dict | None = None) -> montecarlo.Experim
         for key, value in _load_config_file(args.config).items():
             if key not in _CONFIG_FIELDS:
                 raise ParameterError(key, "unknown configuration key")
-            field, caster = _CONFIG_FIELDS[key]
-            settings[field] = tuple(value) if caster is tuple else caster(value)
+            field, kind = _CONFIG_FIELDS[key]
+            settings[field] = _config_value(key, value, kind)
     for flag, field in (
         ("n", "n"),
         ("j_max", "J"),

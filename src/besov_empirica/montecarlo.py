@@ -8,20 +8,35 @@ only on the replicate count.  Partial results are reduced strictly in
 chunk order, so the output is bit-identical no matter how many worker
 processes ran the chunks or in which order they finished.
 
-For the step empirical process all band and deviation events reduce to
-integer comparisons on the per-level score sums (``2*sum_h <= n`` etc.),
-so event counts carry no rounding at all.
+Step-process chunks are batched: one kernel bins every sample of a chunk
+at once and reduces all levels across the chunk, and its payloads are
+integers (per-replicate level sums of ``H = S**2`` and ``H**2``, per-cell
+sums of ``S`` and ``H``; per-cell sums of ``H**2`` are float64, exact below
+``2**53``).  The coefficient scalings ``2**(j/2)/sqrt(n)`` and ``2**j/n``
+are applied when the report is built.  All band and deviation events
+reduce to integer comparisons on the per-level score sums
+(``2*sum_h <= n`` etc.), so event counts carry no rounding at all.
+
+Runs with more than one worker share one spawn pool per process: it starts
+on the first such call, is reused by every later call with the same worker
+count, and is terminated at interpreter exit.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
 import multiprocessing
+import threading
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .besov import BesovParams, level_statistic, tail_window_start
+# ``halfcell_counts`` and ``signed_sums_by_level`` are the per-replicate
+# reference for the batched step kernel; they stay importable from here
+# because perfbench/tracing.py wraps them as this module's attributes.
 from .empirical import (
     empirical_coefficients,
     halfcell_counts,
@@ -89,6 +104,10 @@ class ExperimentConfig:
         for key in ("coverage_se_multiplier", "oracle_se_multiplier", "concentration_se_multiplier"):
             if getattr(self, key) <= 0.0:
                 raise ParameterError(key, "must be positive")
+        if self.coverage_max_level < 0:
+            raise ParameterError(
+                "coverage_max_level", f"must be >= 0 (got {self.coverage_max_level})"
+            )
         if not 0 <= self.j_min <= self.J:
             raise ParameterError("j_min", f"must lie in [0, {self.J}] (got {self.j_min})")
         object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
@@ -182,16 +201,50 @@ def _chunk_entry(name: str, cfg: ExperimentConfig, start: int, count: int) -> Ch
     return _CHUNK_FUNCTIONS[name](cfg, start, count)
 
 
+#: This process's worker pool as ``(worker count, pool)`` once started.
+_pool = None
+_pool_lock = threading.RLock()
+
+
+def shutdown_pool() -> None:
+    """Terminate this process's worker pool, if it started one."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            _pool[1].terminate()
+            _pool[1].join()
+            _pool = None
+
+
+def _worker_pool(workers: int):
+    """The spawn pool of this process, started on first use.
+
+    A request for another worker count replaces it.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is not None and _pool[0] != workers:
+            shutdown_pool()
+        if _pool is None:
+            _pool = (workers, multiprocessing.get_context("spawn").Pool(processes=workers))
+        return _pool[1]
+
+
+atexit.register(shutdown_pool)
+
+
 def run_chunked(name: str, cfg: ExperimentConfig) -> list:
-    """Run all chunks of an experiment, serially or on a process pool."""
+    """Run all chunks of an experiment, serially or on the process's pool."""
     specs = _chunk_specs(cfg.R, cfg.chunk_size)
     if cfg.workers <= 1:
         return [_CHUNK_FUNCTIONS[name](cfg, start, count) for start, count in specs]
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(processes=cfg.workers) as pool:
-        return pool.starmap(
-            _chunk_entry, [(name, cfg, start, count) for start, count in specs]
-        )
+    pool = _worker_pool(cfg.workers)
+    try:
+        return pool.starmap(_chunk_entry, [(name, cfg, start, count) for start, count in specs])
+    except BaseException:
+        # Chunks of an abandoned call may still be queued; start afresh.
+        shutdown_pool()
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -199,76 +252,68 @@ def run_chunked(name: str, cfg: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _moment_chunk(cfg: ExperimentConfig, start: int, count: int) -> ChunkResult:
+def _step_chunk(cfg: ExperimentConfig, start: int, count: int, cells: bool) -> ChunkResult:
+    """Integer level sums of the step process for one chunk, all levels at once.
+
+    The chunk's sorted samples are stacked into one ``count * n`` vector of
+    finest half-cell indices ``floor(u * 2**(J+1))``; since ``u = k / 2**53``
+    the product is exact and the binning equals ``halfcell_counts``.  At
+    level ``j`` the points of one replicate that share a cell form a run of
+    the vector, so ``np.add.reduceat`` over the run starts yields the signed
+    sum ``S`` of every occupied cell, in O(count * n) per level.  Returns the
+    per-replicate ``sum_k H`` (``H = S**2``) and, when ``cells`` is set,
+    ``sum_k H**2`` plus per-cell sums of ``S``, ``H`` and ``H**2`` over the
+    chunk.
+    """
     J, n = cfg.J, cfg.n
-    ncells = (1 << (J + 1)) - 1
-    sum_alpha = np.zeros(ncells)
-    sum_g = np.zeros(ncells)
-    sum_g2 = np.zeros(ncells)
-    sum_h = np.zeros(ncells)
-    sum_h2 = np.zeros(ncells)
-    sh = np.zeros((count, J + 1), dtype=np.int64)
-    sh2 = np.zeros((count, J + 1), dtype=np.int64)
-    pair = np.full((count, J + 1), np.nan)
-    alpha_scale = [step_coefficient_scale(j, n) for j in range(J + 1)]
-    g_scale = [(1 << j) / n for j in range(J + 1)]
-    for i in range(count):
-        sample = sample_uniform(n, SeedSpec(cfg.seed, start + i, UNIFORM_STREAM))
-        sums = signed_sums_by_level(halfcell_counts(sample, J), J)
-        for j in range(J + 1):
-            s = sums[j]
-            h = s * s
+    samples = np.stack(
+        [
+            sample_uniform(n, SeedSpec(cfg.seed, start + i, UNIFORM_STREAM)).sorted_values
+            for i in range(count)
+        ]
+    )
+    finest = (samples * float(1 << (J + 1))).astype(np.int64).ravel()
+    row_starts = np.arange(0, count * n, n)
+    new_run = np.empty(count * n, dtype=bool)
+    sum_h = np.empty((count, J + 1), dtype=np.int64)
+    payload = {"sum_h": sum_h}
+    if cells:
+        ncells = (1 << (J + 1)) - 1
+        sum_h2 = np.empty((count, J + 1), dtype=np.int64)
+        cell_s = np.zeros(ncells, dtype=np.int64)
+        cell_h = np.zeros(ncells, dtype=np.int64)
+        cell_h2 = np.zeros(ncells)
+        payload.update(
+            sum_h2=sum_h2, cell_sum_s=cell_s, cell_sum_h=cell_h, cell_sum_h2=cell_h2
+        )
+    for j in range(J + 1):
+        cell = finest >> (J + 1 - j)
+        score = 1 - 2 * ((finest >> (J - j)) & 1)
+        np.not_equal(cell[1:], cell[:-1], out=new_run[1:])
+        # Every replicate starts a run (row_starts[0] = 0 starts the first).
+        new_run[row_starts] = True
+        runs = np.flatnonzero(new_run)
+        s = np.add.reduceat(score, runs)
+        h = s * s
+        by_row = np.searchsorted(runs, row_starts)
+        sum_h[:, j] = np.add.reduceat(h, by_row)
+        if cells:
             hh = h * h
-            lo = (1 << j) - 1
-            hi = lo + (1 << j)
-            g = h * g_scale[j]
-            sum_alpha[lo:hi] += s * alpha_scale[j]
-            sum_g[lo:hi] += g
-            sum_g2[lo:hi] += g * g
-            sum_h[lo:hi] += h
-            sum_h2[lo:hi] += hh
-            sh[i, j] = h.sum()
-            sh2[i, j] = hh.sum()
-            k_cells = 1 << j
-            if k_cells >= 2:
-                pair[i, j] = (int(sh[i, j]) ** 2 - int(sh2[i, j])) / (
-                    k_cells * (k_cells - 1)
-                )
-    payload = {
-        "cell_sum_alpha": sum_alpha,
-        "cell_sum_g": sum_g,
-        "cell_sum_g2": sum_g2,
-        "cell_sum_h": sum_h,
-        "cell_sum_h2": sum_h2,
-        "sum_h": sh,
-        "sum_h2": sh2,
-        "pair_mean": pair,
-    }
+            sum_h2[:, j] = np.add.reduceat(hh, by_row)
+            k0 = cell[runs] + ((1 << j) - 1)
+            np.add.at(cell_s, k0, s)
+            np.add.at(cell_h, k0, h)
+            np.add.at(cell_h2, k0, hh.astype(np.float64))
     return ChunkResult(start=start, count=count, payload=payload)
 
 
 _MOMENT_REDUCERS = {
-    "cell_sum_alpha": "sum",
-    "cell_sum_g": "sum",
-    "cell_sum_g2": "sum",
+    "cell_sum_s": "sum",
     "cell_sum_h": "sum",
     "cell_sum_h2": "sum",
     "sum_h": "stack",
     "sum_h2": "stack",
-    "pair_mean": "stack",
 }
-
-
-def _step_levels_chunk(cfg: ExperimentConfig, start: int, count: int) -> ChunkResult:
-    J, n = cfg.J, cfg.n
-    sh = np.zeros((count, J + 1), dtype=np.int64)
-    for i in range(count):
-        sample = sample_uniform(n, SeedSpec(cfg.seed, start + i, UNIFORM_STREAM))
-        sums = signed_sums_by_level(halfcell_counts(sample, J), J)
-        for j in range(J + 1):
-            s = sums[j]
-            sh[i, j] = (s * s).sum()
-    return ChunkResult(start=start, count=count, payload={"sum_h": sh})
 
 
 def _continuous_levels_chunk(cfg: ExperimentConfig, start: int, count: int) -> ChunkResult:
@@ -297,8 +342,8 @@ def _roynette_chunk(cfg: ExperimentConfig, start: int, count: int) -> ChunkResul
 
 
 _CHUNK_FUNCTIONS = {
-    "moment": _moment_chunk,
-    "step_levels": _step_levels_chunk,
+    "moment": partial(_step_chunk, cells=True),
+    "step_levels": partial(_step_chunk, cells=False),
     "continuous_levels": _continuous_levels_chunk,
     "roynette": _roynette_chunk,
 }
@@ -354,6 +399,11 @@ def run_moment_experiment(config: ExperimentConfig) -> MomentReport:
         )
     if config.n > MAX_MOMENT_SAMPLE:
         raise ParameterError("n", f"moment experiment caps n at {MAX_MOMENT_SAMPLE}")
+    # int64 per-cell sums over all replicates: |sum S| <= R*n and sum H <= R*n**2.
+    if config.R * config.n**2 >= 1 << 63:
+        raise ParameterError(
+            "replicates", f"replicates * n**2 must stay below 2**63 (got {config.R} at n={config.n})"
+        )
     parts = run_chunked("moment", config)
     data = aggregate(parts, config.R, _MOMENT_REDUCERS)
     J, n, R = config.J, config.n, config.R
@@ -362,10 +412,13 @@ def run_moment_experiment(config: ExperimentConfig) -> MomentReport:
     for j in range(J + 1):
         lo = (1 << j) - 1
         hi = lo + (1 << j)
-        mean_alpha = data["cell_sum_alpha"][lo:hi] / R
-        mean_g = data["cell_sum_g"][lo:hi] / R
-        var_alpha = np.maximum(data["cell_sum_g"][lo:hi] - R * mean_alpha**2, 0.0) / (R - 1)
-        var_g = np.maximum(data["cell_sum_g2"][lo:hi] - R * mean_g**2, 0.0) / (R - 1)
+        # alpha = scale * S and G = 2**j/n * H, so alpha**2 = G.
+        g_scale = (1 << j) / n
+        sum_g = data["cell_sum_h"][lo:hi] * g_scale
+        mean_alpha = data["cell_sum_s"][lo:hi] * step_coefficient_scale(j, n) / R
+        mean_g = sum_g / R
+        var_alpha = np.maximum(sum_g - R * mean_alpha**2, 0.0) / (R - 1)
+        var_g = np.maximum(data["cell_sum_h2"][lo:hi] * g_scale**2 - R * mean_g**2, 0.0) / (R - 1)
         mean_h = data["cell_sum_h"][lo:hi] / R
         var_h = np.maximum(data["cell_sum_h2"][lo:hi] - R * mean_h**2, 0.0) / (R - 1)
         cell_stats[j] = {
@@ -402,7 +455,10 @@ def run_moment_experiment(config: ExperimentConfig) -> MomentReport:
         level_stats["mean_h2_pooled"].append(mh2)
         level_stats["se_h2_pooled"].append(se_mh2)
         if k_cells >= 2:
-            mp, se_mp = _mean_se(data["pair_mean"][:, j])
+            # Mean of H_k H_k' over ordered pairs of distinct cells; the
+            # int64 numerator is at most n**4 and exact.
+            pair = (data["sum_h"][:, j] ** 2 - data["sum_h2"][:, j]) / (k_cells * (k_cells - 1))
+            mp, se_mp = _mean_se(pair)
         else:
             mp, se_mp = float("nan"), float("nan")
         level_stats["mean_pair"].append(mp)

@@ -1,11 +1,15 @@
 import filecmp
+import hashlib
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from besov_empirica import besov, dyadic
+from besov_empirica import besov, dyadic, montecarlo
 from besov_empirica.cli import emit_plot_data, main, read_report_csv
 from besov_empirica.montecarlo import (
     ExperimentConfig,
@@ -50,6 +54,24 @@ class TestUsageErrors:
         code = run_cli("verify-sandwich", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 1
         assert "power" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "settings,key",
+        [
+            ({"n": "abc"}, "n"),
+            ({"n_values": 5}, "n_values"),
+            ({"coverage_max_level": -1}, "coverage_max_level"),
+            ({"n": 2.7}, "n"),
+        ],
+        ids=["string-int", "scalar-list", "negative-level", "fractional-int"],
+    )
+    def test_bad_config_value_names_key(self, tmp_path, capsys, settings, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        code = run_cli("verify-moments", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1, err
 
     def test_invalid_setting_names_key(self, capsys, tmp_path):
         code = run_cli("verify-moments", "--replicates", "5", "--out", str(tmp_path / "o"))
@@ -277,3 +299,68 @@ class TestDeterminism:
         assert set(summary["components"]) == {
             "moments", "concentration", "sandwich", "roynette",
         }
+
+
+def tree_digest(directory) -> str:
+    """sha256 over the sorted file names and contents of a report tree."""
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(directory)):
+        digest.update(name.encode() + b"\0")
+        digest.update((directory / name).read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+#: Digest of ``verify-all --seed 42 --workers 1 --replicates 200 --j-max 10``
+#: (recorded with numpy 2.4).  A change that moves any report byte must
+#: update it on purpose and say why in CHANGES.md.
+GOLDEN_VERIFY_ALL_SHA256 = "301300e1b6127e2a6c50849d5591e2d399c9f5faf36196c9f5a44d9ef328490a"
+
+
+class TestWorkerPool:
+    def test_verify_all_starts_one_pool(self, tmp_path, monkeypatch, capsys):
+        montecarlo.shutdown_pool()
+        spawn = multiprocessing.get_context("spawn")
+        real_pool = spawn.Pool
+        started = []
+
+        def spy(*args, **kwargs):
+            started.append(kwargs.get("processes"))
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(spawn, "Pool", spy)
+        cfg = tmp_path / "relaxed.json"
+        cfg.write_text(json.dumps({"coverage_threshold": 0.9}))
+        code = run_cli(
+            "verify-all", "--seed", "42", "--n", "40", "--j-max", "10",
+            "--replicates", "120", "--workers", "2", "--config", str(cfg),
+            "--out", str(tmp_path / "suite"),
+        )
+        assert code == 0
+        assert started == [2]
+
+    def test_subprocess_exits_with_pool_alive(self, tmp_path):
+        # The pool outlives every run_chunked call; interpreter exit must
+        # still tear it down promptly.
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "besov_empirica.cli", "verify-all",
+                "--seed", "42", "--n", "40", "--j-max", "10", "--replicates", "120",
+                "--workers", "2", "--out", str(tmp_path / "suite"),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode in (0, 2), result.stderr
+        assert "verify-all:" in result.stdout
+
+
+def test_golden_verify_all_digest(tmp_path, capsys):
+    out = tmp_path / "golden"
+    code = run_cli(
+        "verify-all", "--seed", "42", "--workers", "1", "--replicates", "200",
+        "--j-max", "10", "--out", str(out),
+    )
+    # 200 replicates are too few for the moments coverage rule at n=100.
+    assert code == 2
+    assert tree_digest(out) == GOLDEN_VERIFY_ALL_SHA256

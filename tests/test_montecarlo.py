@@ -5,11 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from besov_empirica.empirical import halfcell_counts, signed_sums_by_level
 from besov_empirica.errors import AggregationError, ParameterError
 from besov_empirica.montecarlo import (
     ChunkResult,
     ExperimentConfig,
+    _step_chunk,
     absolute_moment_target,
     aggregate,
     chebyshev_deviation_bound,
@@ -18,6 +22,7 @@ from besov_empirica.montecarlo import (
     run_roynette_experiment,
     run_sandwich_experiment,
 )
+from besov_empirica.sampling import UNIFORM_STREAM, SeedSpec, sample_uniform
 
 SEED = 42
 
@@ -40,6 +45,7 @@ class TestConfigValidation:
             ({"j_min": 15}, "j_min"),
             ({"workers": 0}, "workers"),
             ({"n_values": (1,)}, "n_values"),
+            ({"coverage_max_level": -1}, "coverage_max_level"),
         ],
     )
     def test_rejections(self, kwargs, key):
@@ -84,6 +90,63 @@ class TestAggregate:
             aggregate(parts, 5, {"a": "sum"})
 
 
+def _reference_step_chunk(cfg, start, count):
+    """The batched kernel's outputs, one replicate and one level at a time."""
+    J = cfg.J
+    ncells = (1 << (J + 1)) - 1
+    out = {
+        "sum_h": np.zeros((count, J + 1), dtype=np.int64),
+        "sum_h2": np.zeros((count, J + 1), dtype=np.int64),
+        "cell_sum_s": np.zeros(ncells, dtype=np.int64),
+        "cell_sum_h": np.zeros(ncells, dtype=np.int64),
+        "cell_sum_h2": np.zeros(ncells),
+    }
+    for i in range(count):
+        sample = sample_uniform(cfg.n, SeedSpec(cfg.seed, start + i, UNIFORM_STREAM))
+        sums = signed_sums_by_level(halfcell_counts(sample, J), J)
+        for j in range(J + 1):
+            s = sums[j]
+            lo = (1 << j) - 1
+            out["sum_h"][i, j] = (s * s).sum()
+            out["sum_h2"][i, j] = (s**4).sum()
+            out["cell_sum_s"][lo : lo + (1 << j)] += s
+            out["cell_sum_h"][lo : lo + (1 << j)] += s * s
+            out["cell_sum_h2"][lo : lo + (1 << j)] += s**4
+    return out
+
+
+class TestStepKernel:
+    @settings(max_examples=40)
+    @given(
+        J=st.integers(6, 9),
+        size=st.sampled_from(["above", "near", "below"]),
+        start=st.integers(0, 10**6),
+        count=st.sampled_from([1, 2, 3, 7]),
+        data=st.data(),
+    )
+    def test_matches_per_replicate_reference(self, J, size, start, count, data):
+        m = 1 << (J + 1)
+        bounds = {"above": (m + 1, 3 * m), "near": (m - 8, m + 8), "below": (2, 12)}[size]
+        n = data.draw(st.integers(*bounds), label="n")
+        cfg = ExperimentConfig(n=n, J=J, seed=data.draw(st.integers(0, 2**64 - 1), label="seed"))
+        want = _reference_step_chunk(cfg, start, count)
+        moment = _step_chunk(cfg, start, count, cells=True)
+        levels = _step_chunk(cfg, start, count, cells=False)
+        assert (moment.start, moment.count) == (start, count)
+        assert set(moment.payload) == set(want)
+        for key, value in want.items():
+            assert moment.payload[key].dtype == value.dtype, key
+            np.testing.assert_array_equal(moment.payload[key], value, err_msg=key)
+        assert set(levels.payload) == {"sum_h"}
+        np.testing.assert_array_equal(levels.payload["sum_h"], want["sum_h"])
+
+    def test_cell_sum_bound_checked_before_run(self):
+        cfg = ExperimentConfig(n=20_000, R=2**40)
+        with pytest.raises(ParameterError) as err:
+            run_moment_experiment(cfg)
+        assert err.value.key == "replicates"
+
+
 class TestMoments:
     def test_oracle_agreement_small_instance(self):
         cfg = ExperimentConfig(n=3, J=6, R=4000, seed=SEED, chunk_size=500)
@@ -116,12 +179,18 @@ class TestMoments:
     def test_worker_count_invariance(self):
         # Worker count is not part of a report, so the serialized documents
         # must agree byte for byte.
-        base = ExperimentConfig(n=20, J=6, R=300, seed=SEED, chunk_size=50)
-        solo = run_moment_experiment(base)
-        multi = run_moment_experiment(replace(base, workers=2))
-        assert json.dumps(solo.as_dict(), sort_keys=True) == json.dumps(
-            multi.as_dict(), sort_keys=True
-        )
+        # A chunk size of 70 leaves a short last chunk of 20.
+        docs = set()
+        for chunk_size in (50, 70):
+            base = ExperimentConfig(n=20, J=6, R=300, seed=SEED, chunk_size=chunk_size)
+            solo = run_moment_experiment(base)
+            multi = run_moment_experiment(replace(base, workers=2))
+            assert json.dumps(solo.as_dict(), sort_keys=True) == json.dumps(
+                multi.as_dict(), sort_keys=True
+            )
+            docs.add(json.dumps(solo.as_dict()["results"], sort_keys=True))
+        # Integer payloads make the report independent of the chunking too.
+        assert len(docs) == 1
 
 
 class TestConcentration:
