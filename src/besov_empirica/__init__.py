@@ -12,7 +12,6 @@ from .besov import (
 )
 from .dyadic import (
     CoefficientTriangle,
-    DyadicGrid,
     DyadicPathValues,
     dyadic_grid,
     extract_coefficients,
@@ -27,7 +26,6 @@ from .empirical import (
     empirical_coefficients,
     empirical_process_eval,
     sup_distance,
-    z_indicator,
 )
 from .errors import (
     AggregationError,
@@ -35,7 +33,7 @@ from .errors import (
     ParameterError,
     TiesError,
 )
-from .gaussian import GaussianPath, brownian_bridge, brownian_motion, gaussian_coefficients
+from .gaussian import GaussianPath, brownian_bridge, brownian_motion
 from .montecarlo import (
     ConcentrationReport,
     ExperimentConfig,
@@ -66,7 +64,6 @@ __all__ = [
     "CoefficientTriangle",
     "ConcentrationReport",
     "ContinuousEcdf",
-    "DyadicGrid",
     "DyadicPathValues",
     "EmpiricalSample",
     "ExperimentConfig",
@@ -90,7 +87,6 @@ __all__ = [
     "empirical_process_eval",
     "enumeration_oracle",
     "extract_coefficients",
-    "gaussian_coefficients",
     "level_statistic",
     "little_o_profile",
     "make_generator",
@@ -106,5 +102,4 @@ __all__ = [
     "sample_uniform",
     "scale_triangle",
     "sup_distance",
-    "z_indicator",
 ]

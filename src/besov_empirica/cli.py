@@ -43,29 +43,6 @@ class _Parser(argparse.ArgumentParser):
 # Config handling
 # ---------------------------------------------------------------------------
 
-_CONFIG_FIELDS = {
-    "process": ("process", str),
-    "n": ("n", int),
-    "j_max": ("J", int),
-    "replicates": ("R", int),
-    "p": ("p", float),
-    "alpha": ("alpha", float),
-    "seed": ("seed", int),
-    "sandwich_confidence": ("sandwich_confidence", float),
-    "roynette_confidence": ("roynette_confidence", float),
-    "roynette_band_halfwidth": ("roynette_band_halfwidth", float),
-    "coverage_threshold": ("coverage_threshold", float),
-    "coverage_se_multiplier": ("coverage_se_multiplier", float),
-    "coverage_max_level": ("coverage_max_level", int),
-    "oracle_se_multiplier": ("oracle_se_multiplier", float),
-    "concentration_se_multiplier": ("concentration_se_multiplier", float),
-    "n_values": ("n_values", tuple),
-    "j_min": ("j_min", int),
-    "workers": ("workers", int),
-    "chunk_size": ("chunk_size", int),
-}
-
-
 def _load_config_file(path) -> dict:
     try:
         with open(path) as fh:
@@ -106,25 +83,21 @@ def _config_value(key: str, value, kind):
 
 
 def _experiment_config(args, defaults: dict | None = None) -> montecarlo.ExperimentConfig:
-    """Merge command defaults, config-file settings, and flags (flags win)."""
+    """Merge command defaults, config-file settings, and flags (flags win).
+
+    Config keys and flag destinations are the keys of the report ``config``
+    block plus the run-only fields, all from ``montecarlo.config_schema``.
+    """
+    schema = montecarlo.config_schema()
     settings = dict(defaults or {})
     if getattr(args, "config", None):
         for key, value in _load_config_file(args.config).items():
-            if key not in _CONFIG_FIELDS:
+            if key not in schema:
                 raise ParameterError(key, "unknown configuration key")
-            field, kind = _CONFIG_FIELDS[key]
+            field, kind = schema[key]
             settings[field] = _config_value(key, value, kind)
-    for flag, field in (
-        ("n", "n"),
-        ("j_max", "J"),
-        ("replicates", "R"),
-        ("p", "p"),
-        ("alpha", "alpha"),
-        ("seed", "seed"),
-        ("workers", "workers"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
+    for key, (field, _) in schema.items():
+        if (value := getattr(args, key, None)) is not None:
             settings[field] = value
     if "workers" not in settings:
         env = os.environ.get(WORKERS_ENV_VAR)
@@ -159,12 +132,6 @@ def _write_csv(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([cell(v) for v in row])
-
-
-def read_report_csv(path) -> list:
-    """Generic loader for any CSV emitted here: a list of row dicts."""
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -261,55 +228,44 @@ def _emit_moment_levels_csv(report: montecarlo.MomentReport, path) -> None:
 
 
 def _cmd_simulate_empirical(args) -> int:
-    seed = args.seed if args.seed is not None else 42
-    n = args.n if args.n is not None else 100
-    j_max = args.j_max if args.j_max is not None else 10
-    sample = sample_uniform(n, SeedSpec(seed, 0, UNIFORM_STREAM))
-    tri = empirical.empirical_coefficients(sample, j_max, source=args.source)
+    montecarlo.check_max_level(args.j_max)
+    sample = sample_uniform(args.n, SeedSpec(args.seed, 0, UNIFORM_STREAM))
+    tri = empirical.empirical_coefficients(sample, args.j_max, source=args.source)
     sup = empirical.sup_distance(empirical.continuous_ecdf(sample))
-    out = args.out or "coeffs.json"
-    dyadic.save_triangle_json(
-        tri, out, metadata={"n": n, "seed": seed, "source": args.source, "sup_distance": sup}
-    )
-    print(f"wrote {out}")
+    metadata = {"n": args.n, "seed": args.seed, "source": args.source, "sup_distance": sup}
+    dyadic.save_triangle_json(tri, args.out, metadata=metadata)
+    print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_simulate_bm(args) -> int:
-    seed = args.seed if args.seed is not None else 42
-    j_max = args.j_max if args.j_max is not None else 10
-    path = gaussian.brownian_motion(j_max, SeedSpec(seed, 0))
+    path = gaussian.brownian_motion(args.j_max, SeedSpec(args.seed, 0))
     if args.bridge:
         path = gaussian.brownian_bridge(path)
-    out = args.out or "path.json"
     dyadic.save_path_json(
         path.path,
-        out,
+        args.out,
         extra={
             "kind": path.kind,
-            "seed": seed,
+            "seed": args.seed,
             "triangle": dyadic.triangle_to_dict(path.triangle),
         },
     )
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_coeffs(args) -> int:
     path_values = dyadic.load_path_json(args.path)
     tri = dyadic.extract_coefficients(path_values)
-    out = args.out or "coeffs.json"
-    dyadic.save_triangle_json(tri, out, metadata={"source_level": path_values.J})
-    print(f"wrote {out}")
+    dyadic.save_triangle_json(tri, args.out, metadata={"source_level": path_values.J})
+    print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_norm(args) -> int:
     tri, _ = dyadic.load_triangle_json(args.coeffs)
-    params = besov.BesovParams(
-        p=args.p if args.p is not None else 2.0,
-        alpha=args.alpha if args.alpha is not None else 0.5,
-    )
+    params = besov.BesovParams(p=args.p, alpha=args.alpha)
     value = besov.besov_norm(tri, params)
     if args.profile:
         emit_plot_data(besov.little_o_profile(tri, params), args.profile)
@@ -321,26 +277,24 @@ def _cmd_norm(args) -> int:
     return 0
 
 
+#: Report kind -> (``montecarlo`` runner, plot-data CSV); the JSON report
+#: is ``<kind>.json``.
+_REPORTS = {
+    "moments": ("run_moment_experiment", "moments_cells.csv"),
+    "concentration": ("run_concentration_experiment", "concentration.csv"),
+    "sandwich": ("run_sandwich_experiment", "sandwich.csv"),
+    "roynette": ("run_roynette_experiment", "roynette.csv"),
+}
+
+
 def _run_and_emit(kind: str, cfg: montecarlo.ExperimentConfig, out_dir: str):
+    runner, csv_name = _REPORTS[kind]
+    # Looked up on every call, so a replaced module attribute takes effect.
+    report = getattr(montecarlo, runner)(cfg)
+    _write_json(os.path.join(out_dir, f"{kind}.json"), report.as_dict())
+    emit_plot_data(report, os.path.join(out_dir, csv_name))
     if kind == "moments":
-        report = montecarlo.run_moment_experiment(cfg)
-        _write_json(os.path.join(out_dir, "moments.json"), report.as_dict())
-        emit_plot_data(report, os.path.join(out_dir, "moments_cells.csv"))
         _emit_moment_levels_csv(report, os.path.join(out_dir, "moments_levels.csv"))
-    elif kind == "concentration":
-        report = montecarlo.run_concentration_experiment(cfg)
-        _write_json(os.path.join(out_dir, "concentration.json"), report.as_dict())
-        emit_plot_data(report, os.path.join(out_dir, "concentration.csv"))
-    elif kind == "sandwich":
-        report = montecarlo.run_sandwich_experiment(cfg)
-        _write_json(os.path.join(out_dir, "sandwich.json"), report.as_dict())
-        emit_plot_data(report, os.path.join(out_dir, "sandwich.csv"))
-    elif kind == "roynette":
-        report = montecarlo.run_roynette_experiment(cfg)
-        _write_json(os.path.join(out_dir, "roynette.json"), report.as_dict())
-        emit_plot_data(report, os.path.join(out_dir, "roynette.csv"))
-    else:  # pragma: no cover - internal dispatch
-        raise ValueError(kind)
     return report
 
 
@@ -382,11 +336,11 @@ def _cmd_verify_all(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common_flags(sub, replicates=True):
+def _add_common_flags(sub, experiment=True):
     sub.add_argument("--seed", type=int, default=None, help="master seed (unsigned 64-bit)")
-    sub.add_argument("--n", type=int, default=None, help="sample size")
     sub.add_argument("--j-max", dest="j_max", type=int, default=None, help="max level")
-    if replicates:
+    if experiment:
+        sub.add_argument("--n", type=int, default=None, help="sample size")
         sub.add_argument("--replicates", type=int, default=None, help="replicate count")
         sub.add_argument("--p", type=float, default=None, help="integrability exponent")
         sub.add_argument("--alpha", type=float, default=None, help="smoothness parameter")
@@ -400,27 +354,30 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("simulate-empirical", help="emit empirical-process coefficients")
-    _add_common_flags(sub, replicates=False)
+    _add_common_flags(sub, experiment=False)
+    sub.add_argument("--n", type=int, help="sample size")
     sub.add_argument("--source", choices=("step", "continuous"), default="step")
-    sub.set_defaults(handler=_cmd_simulate_empirical)
+    sub.set_defaults(
+        handler=_cmd_simulate_empirical, seed=42, n=100, j_max=10, out="coeffs.json"
+    )
 
     sub = subs.add_parser("simulate-bm", help="emit a Brownian path and its coefficients")
-    _add_common_flags(sub, replicates=False)
+    _add_common_flags(sub, experiment=False)
     sub.add_argument("--bridge", action="store_true", help="tie the path down at 1")
-    sub.set_defaults(handler=_cmd_simulate_bm)
+    sub.set_defaults(handler=_cmd_simulate_bm, seed=42, j_max=10, out="path.json")
 
     sub = subs.add_parser("coeffs", help="extract coefficients from a stored path")
     sub.add_argument("--path", required=True, help="path JSON produced by simulate-bm")
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(handler=_cmd_coeffs)
+    sub.add_argument("--out")
+    sub.set_defaults(handler=_cmd_coeffs, out="coeffs.json")
 
     sub = subs.add_parser("norm", help="sequence-space norm of stored coefficients")
     sub.add_argument("--coeffs", required=True, help="triangle JSON")
-    sub.add_argument("--p", type=float, default=None)
-    sub.add_argument("--alpha", type=float, default=None)
+    sub.add_argument("--p", type=float)
+    sub.add_argument("--alpha", type=float)
     sub.add_argument("--profile", default=None, help="write the level profile CSV here")
     sub.add_argument("--out", default=None, help="write a JSON summary here")
-    sub.set_defaults(handler=_cmd_norm)
+    sub.set_defaults(handler=_cmd_norm, p=2.0, alpha=0.5)
 
     for kind in ("moments", "concentration", "sandwich", "roynette"):
         sub = subs.add_parser(f"verify-{kind}")

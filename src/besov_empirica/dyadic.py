@@ -36,21 +36,8 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DyadicGrid:
-    """The equispaced points ``k / 2**J`` for ``k = 0..2**J``."""
-
-    J: int
-    points: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _frozen_array(self.points))
-        if len(self.points) != (1 << self.J) + 1:
-            raise ParameterError("points", "grid must hold 2**J + 1 points")
-
-
-@dataclass(frozen=True)
 class DyadicPathValues:
-    """Path values at each point of ``DyadicGrid(J)``."""
+    """Path values at each point of ``dyadic_grid(J)``."""
 
     J: int
     values: np.ndarray
@@ -98,13 +85,11 @@ class CoefficientTriangle:
             raise ParameterError("mu0/mu1", "boundary coefficients must be finite")
 
 
-def dyadic_grid(J: int) -> DyadicGrid:
-    """Equispaced dyadic grid of level ``J`` on [0, 1]."""
+def dyadic_grid(J: int) -> np.ndarray:
+    """The read-only points ``k / 2**J``, ``k = 0..2**J``, of level ``J`` on [0, 1]."""
     if not (0 <= J <= MAX_GRID_LEVEL):
         raise ParameterError("J", f"level must be in [0, {MAX_GRID_LEVEL}] (got {J})")
-    n = 1 << J
-    points = np.arange(n + 1, dtype=np.float64) / n
-    return DyadicGrid(J=J, points=points)
+    return _frozen_array(np.arange((1 << J) + 1, dtype=np.float64) / (1 << J))
 
 
 def extract_coefficients(path: DyadicPathValues) -> CoefficientTriangle:

@@ -108,25 +108,6 @@ def empirical_process_eval(sample: EmpiricalSample, s, version: str = "step"):
     return float(out) if np.isscalar(s) or arr.ndim == 0 else out
 
 
-def z_indicator(u: float, j: int, k: int) -> int:
-    """Signed half-cell indicator for the level-``j`` cell ``k``.
-
-    +1 on ``[(k-1)/2**j, (k-1/2)/2**j)``, -1 on ``[(k-1/2)/2**j, k/2**j)``,
-    0 elsewhere; interval ends are half open exactly as written.
-    """
-    if not 1 <= k <= (1 << j):
-        raise ParameterError("k", f"cell index must be in [1, 2**{j}] (got {k})")
-    cell = 1 << j
-    left = (k - 1) / cell
-    mid = (2 * k - 1) / (2 * cell)
-    right = k / cell
-    if left <= u < mid:
-        return 1
-    if mid <= u < right:
-        return -1
-    return 0
-
-
 def halfcell_counts(sample: EmpiricalSample, J: int) -> np.ndarray:
     """Observation counts in the half-open intervals of width ``2**-(J+1)``.
 

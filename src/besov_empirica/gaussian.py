@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import (
-    CoefficientTriangle,
-    DyadicPathValues,
-    extract_coefficients,
-    reconstruct_path,
-)
+from .dyadic import CoefficientTriangle, DyadicPathValues, reconstruct_path
 from .errors import ParameterError
 from .sampling import GAUSSIAN_STREAM, SeedSpec, sample_gaussian
 
@@ -92,8 +87,3 @@ def brownian_bridge(motion: GaussianPath) -> GaussianPath:
         seed=motion.seed,
         triangle=triangle,
     )
-
-
-def gaussian_coefficients(path: GaussianPath) -> CoefficientTriangle:
-    """Second-difference coefficients of the stored path values."""
-    return extract_coefficients(path.path)

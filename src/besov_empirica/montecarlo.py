@@ -28,7 +28,7 @@ import atexit
 import math
 import multiprocessing
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -56,10 +56,31 @@ ORACLE_LEVEL_CAP = 3
 #: int64 safety for sums of H**2 (worst case n**4 per level).
 MAX_MOMENT_SAMPLE = 20_000
 
+#: Largest max level any run accepts: the Gaussian synthesis cap, which also
+#: keeps the empirical half-cell arrays (``2**(J+1)`` entries) desk-scale.
+MAX_LEVEL = MAX_SYNTH_LEVEL - 1
+
+#: Config keys whose name differs from their ``ExperimentConfig`` field.
+CONFIG_KEYS = {"J": "j_max", "R": "replicates"}
+
+#: Fields that set how a run executes, never what it computes; reports
+#: leave them out.
+RUN_ONLY_FIELDS = ("workers", "chunk_size")
+
+
+def check_max_level(J: int) -> None:
+    """Reject a max level above ``MAX_LEVEL`` before anything is allocated."""
+    if J > MAX_LEVEL:
+        raise ParameterError("j_max", f"must be <= {MAX_LEVEL} (got {J})")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Settings shared by every experiment runner."""
+    """Settings shared by every experiment runner.
+
+    The fields are the config schema: ``config_schema`` derives the config
+    keys and their types from them, and ``as_dict`` the report block.
+    """
 
     process: str = "empirical-step"
     n: int = 100
@@ -88,6 +109,7 @@ class ExperimentConfig:
             raise ParameterError("n", f"must be >= 2 (got {self.n})")
         if self.J < 6:
             raise ParameterError("j_max", f"must be >= 6 (got {self.J})")
+        check_max_level(self.J)
         if self.R < 100:
             raise ParameterError("replicates", f"must be >= 100 (got {self.R})")
         if not 0 <= self.seed < (1 << 64):
@@ -120,25 +142,20 @@ class ExperimentConfig:
             raise ParameterError("chunk_size", f"must be >= 1 (got {self.chunk_size})")
 
     def as_dict(self) -> dict:
+        """The report ``config`` block: every field but the run-only ones."""
         return {
-            "process": self.process,
-            "n": self.n,
-            "j_max": self.J,
-            "replicates": self.R,
-            "p": self.p,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "sandwich_confidence": self.sandwich_confidence,
-            "roynette_confidence": self.roynette_confidence,
-            "roynette_band_halfwidth": self.roynette_band_halfwidth,
-            "coverage_threshold": self.coverage_threshold,
-            "coverage_se_multiplier": self.coverage_se_multiplier,
-            "coverage_max_level": self.coverage_max_level,
-            "oracle_se_multiplier": self.oracle_se_multiplier,
-            "concentration_se_multiplier": self.concentration_se_multiplier,
-            "n_values": list(self.n_values),
-            "j_min": self.j_min,
+            CONFIG_KEYS.get(f.name, f.name): getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in RUN_ONLY_FIELDS
         }
+
+
+def config_schema() -> dict:
+    """Config key -> ``(field name, value type)`` for every ``ExperimentConfig`` field."""
+    return {
+        CONFIG_KEYS.get(f.name, f.name): (f.name, type(f.default))
+        for f in fields(ExperimentConfig)
+    }
 
 
 def chebyshev_deviation_bound(n: int, j: int) -> float:
@@ -654,6 +671,33 @@ class SandwichReport:
         }
 
 
+def _band_report(kind, config, stat, stat_sq, in_band, top_levels, confidence, **band):
+    """A ``SandwichReport`` from per-replicate statistics and band events.
+
+    Passes when the in-band frequency at each of the top ``top_levels``
+    levels reaches ``confidence``.
+    """
+    J = config.J
+    tail_start = tail_window_start(J)
+    freq = [float(np.mean(in_band[:, j])) for j in range(J + 1)]
+    return SandwichReport(
+        kind=kind,
+        config=config,
+        R=config.R,
+        in_band_freq=freq,
+        mean_stat=[float(np.mean(stat[:, j])) for j in range(J + 1)],
+        sd_stat=[float(np.std(stat[:, j], ddof=1)) for j in range(J + 1)],
+        sup_stat=stat.max(axis=1),
+        tail_min_stat=stat[:, tail_start:].min(axis=1),
+        sup_stat_sq=stat_sq.max(axis=1),
+        tail_min_stat_sq=stat_sq[:, tail_start:].min(axis=1),
+        tail_start=tail_start,
+        confidence=confidence,
+        passed=all(f >= confidence for f in freq[J + 1 - top_levels :]),
+        **band,
+    )
+
+
 def run_sandwich_experiment(config: ExperimentConfig) -> SandwichReport:
     """Frequencies of ``1/2 <= 2**-j sum_k |c_jk|**2 <= 3/2`` per level.
 
@@ -665,29 +709,10 @@ def run_sandwich_experiment(config: ExperimentConfig) -> SandwichReport:
     if config.J < 10:
         raise ParameterError("j_max", f"sandwich verification needs j_max >= 10 (got {config.J})")
     stat_sq, _, in_band = _level_event_matrix(config)
-    stat = np.sqrt(stat_sq)
-    tail_start = tail_window_start(config.J)
-    freq = [float(np.mean(in_band[:, j])) for j in range(config.J + 1)]
-    top = freq[config.J - 2 : config.J + 1]
-    passed = all(f >= config.sandwich_confidence for f in top)
-    return SandwichReport(
-        kind="sandwich",
-        config=config,
-        R=config.R,
-        statistic="squared_level",
-        band_lo=0.5,
-        band_hi=1.5,
-        target=None,
-        in_band_freq=freq,
-        mean_stat=[float(np.mean(stat[:, j])) for j in range(config.J + 1)],
-        sd_stat=[float(np.std(stat[:, j], ddof=1)) for j in range(config.J + 1)],
-        sup_stat=stat.max(axis=1),
-        tail_min_stat=stat[:, tail_start:].min(axis=1),
-        sup_stat_sq=stat_sq.max(axis=1),
-        tail_min_stat_sq=stat_sq[:, tail_start:].min(axis=1),
-        tail_start=tail_start,
-        confidence=config.sandwich_confidence,
-        passed=passed,
+    return _band_report(
+        "sandwich", config, np.sqrt(stat_sq), stat_sq, in_band,
+        top_levels=3, confidence=config.sandwich_confidence,
+        statistic="squared_level", band_lo=0.5, band_hi=1.5, target=None,
     )
 
 
@@ -712,36 +737,13 @@ def run_roynette_experiment(config: ExperimentConfig) -> SandwichReport:
         raise ParameterError(
             "alpha", "the Gaussian level statistic uses the alpha = 1/2 weighting"
         )
-    if config.J + 1 > MAX_SYNTH_LEVEL:
-        raise ParameterError(
-            "j_max", f"Gaussian synthesis caps the coefficient level at {MAX_SYNTH_LEVEL - 1}"
-        )
     parts = run_chunked("roynette", config)
     stat = aggregate(parts, config.R, {"stat": "stack"})["stat"]
     target = absolute_moment_target(config.p)
     lo = target - config.roynette_band_halfwidth
     hi = target + config.roynette_band_halfwidth
-    in_band = (stat >= lo) & (stat <= hi)
-    freq = [float(np.mean(in_band[:, j])) for j in range(config.J + 1)]
-    tail_start = tail_window_start(config.J)
-    stat_sq = stat**2
-    passed = freq[config.J] >= config.roynette_confidence
-    return SandwichReport(
-        kind="roynette",
-        config=config,
-        R=config.R,
-        statistic="level",
-        band_lo=lo,
-        band_hi=hi,
-        target=target,
-        in_band_freq=freq,
-        mean_stat=[float(np.mean(stat[:, j])) for j in range(config.J + 1)],
-        sd_stat=[float(np.std(stat[:, j], ddof=1)) for j in range(config.J + 1)],
-        sup_stat=stat.max(axis=1),
-        tail_min_stat=stat[:, tail_start:].min(axis=1),
-        sup_stat_sq=stat_sq.max(axis=1),
-        tail_min_stat_sq=stat_sq[:, tail_start:].min(axis=1),
-        tail_start=tail_start,
-        confidence=config.roynette_confidence,
-        passed=passed,
+    return _band_report(
+        "roynette", config, stat, stat**2, (stat >= lo) & (stat <= hi),
+        top_levels=1, confidence=config.roynette_confidence,
+        statistic="level", band_lo=lo, band_hi=hi, target=target,
     )

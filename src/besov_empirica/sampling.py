@@ -49,11 +49,10 @@ def make_generator(seed: SeedSpec) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class EmpiricalSample:
-    """Sorted uniform order statistics, strictly inside (0, 1)."""
+    """Sorted uniform order statistics, strictly inside (0, 1) and tie-free."""
 
     n: int
     sorted_values: np.ndarray
-    has_ties: bool = False
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.sorted_values, dtype=np.float64)
@@ -61,22 +60,18 @@ class EmpiricalSample:
         object.__setattr__(self, "sorted_values", values)
         if self.n != len(values):
             raise ParameterError("n", "sample size must match the value count")
-        if self.has_ties:
-            raise TiesError("sample carries tied observations and cannot be accepted")
+        # Ties indicate a degenerate generator, so they raise rather than
+        # being perturbed away.
+        if np.any(values[1:] == values[:-1]):
+            raise TiesError(f"tied observations in a sample of size {self.n}")
 
 
 def order_statistics(values) -> EmpiricalSample:
-    """Sort raw draws into an accepted sample, aborting on ties or range.
-
-    Ties indicate a degenerate generator, so they raise rather than being
-    perturbed away.
-    """
+    """Sort raw draws into an accepted sample, aborting on ties or range."""
     arr = np.sort(np.asarray(values, dtype=np.float64))
     if arr.size and (arr[0] <= 0.0 or arr[-1] >= 1.0):
         raise ParameterError("values", "sample values must lie strictly inside (0, 1)")
-    if arr.size > 1 and np.any(arr[1:] == arr[:-1]):
-        raise TiesError(f"tied observations in a sample of size {arr.size}")
-    return EmpiricalSample(n=int(arr.size), sorted_values=arr, has_ties=False)
+    return EmpiricalSample(n=int(arr.size), sorted_values=arr)
 
 
 def sample_uniform(n: int, seed: SeedSpec) -> EmpiricalSample:

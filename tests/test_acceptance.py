@@ -32,7 +32,6 @@ from besov_empirica.empirical import (
     empirical_coefficients,
     step_coefficient_scale,
     sup_distance,
-    z_indicator,
 )
 from besov_empirica.montecarlo import (
     ExperimentConfig,
@@ -43,6 +42,8 @@ from besov_empirica.montecarlo import (
 )
 from besov_empirica.oracle import enumeration_oracle
 from besov_empirica.sampling import SeedSpec, sample_uniform
+
+from conftest import z_indicator
 
 DEFAULT_SEED = 42
 DOCUMENTED_SEEDS = (DEFAULT_SEED, 7, 123)
@@ -218,7 +219,7 @@ def test_criterion_8_structural_properties():
         for _ in range(1000):
             a = float(rng.integers(-(1 << 20), 1 << 20)) / (1 << 10)
             b = float(rng.integers(-(1 << 20), 1 << 20)) / (1 << 10)
-            tri = extract_coefficients(DyadicPathValues(J=6, values=a + b * grid.points))
+            tri = extract_coefficients(DyadicPathValues(J=6, values=a + b * grid))
             for lev in tri.levels:
                 assert np.all(lev == 0.0)
 

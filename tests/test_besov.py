@@ -172,7 +172,7 @@ class TestModulus:
         # f(x) = x, p = 1: integral over [h, 1] of h is h*(1-h), maximal on
         # the shift grid at h = t.
         grid = dyadic_grid(8)
-        path = DyadicPathValues(J=8, values=grid.points.copy())
+        path = DyadicPathValues(J=8, values=grid.copy())
         w = modulus_of_continuity(path, 0.1, 1.0, grid_refinement=10)
         assert w == pytest.approx(0.09, rel=1e-12)
 

@@ -9,14 +9,17 @@ import sys
 import numpy as np
 import pytest
 
-from besov_empirica import besov, dyadic, montecarlo
-from besov_empirica.cli import emit_plot_data, main, read_report_csv
+import besov_empirica
+from besov_empirica import besov, cli, dyadic, montecarlo
+from besov_empirica.cli import emit_plot_data, main
 from besov_empirica.montecarlo import (
     ExperimentConfig,
     run_concentration_experiment,
     run_moment_experiment,
     run_sandwich_experiment,
 )
+
+from conftest import read_report_csv
 
 
 def run_cli(*argv):
@@ -73,6 +76,20 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith(f"error: {key}: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("command", ["simulate-empirical", "verify-sandwich"])
+    def test_level_cap_before_allocation(self, tmp_path, capsys, command):
+        # 2**29-entry half-cell arrays would not fit; the cap rejects J=28 first.
+        code = run_cli(command, "--j-max", "28", "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: j_max: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
+
+    def test_simulate_bm_has_no_sample_size(self, tmp_path, capsys):
+        code = run_cli("simulate-bm", "--n", "5", "--out", str(tmp_path / "p.json"))
+        assert code == 1
+        assert "--n" in capsys.readouterr().err
+
     def test_invalid_setting_names_key(self, capsys, tmp_path):
         code = run_cli("verify-moments", "--replicates", "5", "--out", str(tmp_path / "o"))
         err = capsys.readouterr().err
@@ -81,6 +98,12 @@ class TestUsageErrors:
 
 
 class TestSimulate:
+    def test_simulate_defaults(self, tmp_path, capsys):
+        out = tmp_path / "coeffs.json"
+        assert run_cli("simulate-empirical", "--out", str(out)) == 0
+        tri, meta = dyadic.load_triangle_json(out)
+        assert (tri.J, meta["n"], meta["seed"], meta["source"]) == (10, 100, 42, "step")
+
     def test_simulate_empirical_metadata(self, tmp_path, capsys):
         out = tmp_path / "coeffs.json"
         code = run_cli(
@@ -134,6 +157,36 @@ class TestSimulate:
         rows = read_report_csv(profile)
         assert len(rows) == 9
         assert list(rows[0]) == ["j", "level_statistic", "running_sup", "tail_min"]
+
+
+class TestConfigSchema:
+    def test_report_config_rebuilds_config(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("BESOV_EMPIRICA_WORKERS", raising=False)
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"n_values": [20, 40], "j_min": 3, "p": 3}))
+        argv = [
+            "verify-concentration", "--seed", "9", "--j-max", "8",
+            "--replicates", "100", "--config", str(settings),
+        ]
+        out = tmp_path / "rep"
+        assert run_cli(*argv, "--out", str(out)) in (0, 2)
+        block = json.loads((out / "concentration.json").read_text())["config"]
+        written_back = tmp_path / "back.json"
+        written_back.write_text(json.dumps(block))
+        rebuilt = cli._experiment_config(
+            cli.build_parser().parse_args(["verify-concentration", "--config", str(written_back)])
+        )
+        assert rebuilt == cli._experiment_config(cli.build_parser().parse_args(argv))
+
+    def test_config_keys_are_report_keys_plus_run_only(self):
+        report_keys = set(ExperimentConfig().as_dict())
+        assert "workers" not in report_keys and "chunk_size" not in report_keys
+        assert set(montecarlo.config_schema()) == report_keys | {"workers", "chunk_size"}
+
+
+def test_package_exports_resolve():
+    for name in besov_empirica.__all__:
+        assert getattr(besov_empirica, name) is not None, name
 
 
 class TestPlotData:

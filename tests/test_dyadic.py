@@ -27,15 +27,16 @@ from conftest import random_triangle
 
 class TestDyadicGrid:
     def test_level_zero_is_endpoints(self):
-        assert dyadic_grid(0).points.tolist() == [0.0, 1.0]
+        assert dyadic_grid(0).tolist() == [0.0, 1.0]
 
     def test_level_one(self):
-        assert dyadic_grid(1).points.tolist() == [0.0, 0.5, 1.0]
+        assert dyadic_grid(1).tolist() == [0.0, 0.5, 1.0]
 
     def test_level_three(self):
         grid = dyadic_grid(3)
-        assert len(grid.points) == 9
-        assert grid.points[5] == 5 / 8
+        assert len(grid) == 9
+        assert grid[5] == 5 / 8
+        assert not grid.flags.writeable
 
     @pytest.mark.parametrize("J", [-1, 31])
     def test_out_of_range(self, J):
@@ -43,7 +44,7 @@ class TestDyadicGrid:
             dyadic_grid(J)
 
     def test_strictly_increasing_endpoints(self):
-        pts = dyadic_grid(6).points
+        pts = dyadic_grid(6)
         assert pts[0] == 0.0 and pts[-1] == 1.0
         assert np.all(np.diff(pts) > 0)
 
@@ -51,7 +52,7 @@ class TestDyadicGrid:
 class TestExtract:
     def test_affine_annihilation_example(self):
         grid = dyadic_grid(3)
-        path = DyadicPathValues(J=3, values=3.0 * grid.points + 1.0)
+        path = DyadicPathValues(J=3, values=3.0 * grid + 1.0)
         tri = extract_coefficients(path)
         assert tri.mu0 == 1.0
         assert tri.mu1 == 3.0
@@ -83,7 +84,7 @@ class TestReconstruct:
         path = reconstruct_path(tri)
         assert path.J == 3
         grid = dyadic_grid(3)
-        np.testing.assert_allclose(path.values, 1.5 - 0.5 * grid.points, rtol=1e-15)
+        np.testing.assert_allclose(path.values, 1.5 - 0.5 * grid, rtol=1e-15)
 
     def test_inverse_of_single_cell(self):
         tri = CoefficientTriangle(J=0, mu0=0.0, mu1=0.0, levels=(np.array([2.0]),))
@@ -150,7 +151,7 @@ class TestProperties:
         for _ in range(1000):
             a = float(rng.integers(-(1 << 20), 1 << 20)) / (1 << 10)
             b = float(rng.integers(-(1 << 20), 1 << 20)) / (1 << 10)
-            tri = extract_coefficients(DyadicPathValues(J=J, values=a + b * grid.points))
+            tri = extract_coefficients(DyadicPathValues(J=J, values=a + b * grid))
             for lev in tri.levels:
                 assert np.all(lev == 0.0)
 
@@ -159,7 +160,7 @@ class TestProperties:
         grid = dyadic_grid(J)
         for _ in range(200):
             a, b = rng.normal(size=2) * 10.0
-            tri = extract_coefficients(DyadicPathValues(J=J, values=a + b * grid.points))
+            tri = extract_coefficients(DyadicPathValues(J=J, values=a + b * grid))
             scale = abs(a) + abs(b) + 1.0
             for lev in tri.levels:
                 assert np.max(np.abs(lev)) <= 1e-12 * scale

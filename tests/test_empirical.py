@@ -14,10 +14,11 @@ from besov_empirica.empirical import (
     signed_sums_by_level,
     step_coefficient_scale,
     sup_distance,
-    z_indicator,
 )
 from besov_empirica.errors import ParameterError
 from besov_empirica.sampling import SeedSpec, order_statistics, sample_uniform
+
+from conftest import z_indicator
 
 
 @pytest.fixture

@@ -6,12 +6,7 @@ from scipy import stats
 
 from besov_empirica.dyadic import DyadicPathValues, extract_coefficients
 from besov_empirica.errors import ParameterError
-from besov_empirica.gaussian import (
-    GaussianPath,
-    brownian_bridge,
-    brownian_motion,
-    gaussian_coefficients,
-)
+from besov_empirica.gaussian import GaussianPath, brownian_bridge, brownian_motion
 from besov_empirica.sampling import SeedSpec
 
 SEED = 42
@@ -136,16 +131,9 @@ class TestGaussianCoefficients:
             seed=SeedSpec(SEED),
             triangle=extract_coefficients(DyadicPathValues(J=3, values=values)),
         )
-        tri = gaussian_coefficients(gp)
+        tri = extract_coefficients(gp.path)
         for lev in tri.levels:
             assert np.max(np.abs(lev)) <= 1e-14
-
-    def test_delegates_to_extraction(self):
-        gp = brownian_motion(7, SeedSpec(SEED, 2, 1))
-        tri = gaussian_coefficients(gp)
-        ref = extract_coefficients(gp.path)
-        for j in range(7):
-            np.testing.assert_array_equal(tri.levels[j], ref.levels[j])
 
 
 class TestLevelStatisticLaw:

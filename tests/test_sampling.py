@@ -51,7 +51,6 @@ class TestUniform:
         v = smp.sorted_values
         assert np.all(np.diff(v) > 0)
         assert v[0] > 0.0 and v[-1] < 1.0
-        assert not smp.has_ties
 
     def test_mean_near_half(self):
         smp = sample_uniform(100_000, SeedSpec(SEED, 0, 0))
@@ -111,9 +110,9 @@ class TestTies:
         with pytest.raises(ParameterError):
             order_statistics([0.5, 1.0])
 
-    def test_sample_type_rejects_tie_flag(self):
+    def test_sample_type_rejects_ties(self):
         with pytest.raises(TiesError):
-            EmpiricalSample(n=2, sorted_values=np.array([0.2, 0.2]), has_ties=True)
+            EmpiricalSample(n=2, sorted_values=np.array([0.2, 0.2]))
 
     def test_order_statistics_sorts(self):
         smp = order_statistics([0.9, 0.1, 0.5])
