@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 
 from . import besov, dyadic, empirical, gaussian, montecarlo
-from .errors import AggregationError, BesovEmpiricaError, ParameterError
+from .errors import BesovEmpiricaError, ParameterError
 from .sampling import UNIFORM_STREAM, SeedSpec, sample_uniform
 
 WORKERS_ENV_VAR = "BESOV_EMPIRICA_WORKERS"
@@ -239,6 +239,7 @@ def _cmd_simulate_empirical(args) -> int:
 
 
 def _cmd_simulate_bm(args) -> int:
+    montecarlo.check_max_level(args.j_max)
     path = gaussian.brownian_motion(args.j_max, SeedSpec(args.seed, 0))
     if args.bridge:
         path = gaussian.brownian_bridge(path)
@@ -312,8 +313,9 @@ def _cmd_verify_all(args) -> int:
     cfg = _experiment_config(args)
     out_dir = _out_dir(args)
     results = {}
+    step_cfg = replace(cfg, process="empirical-step", p=2.0, alpha=0.5)
     for kind in ("moments", "concentration", "sandwich"):
-        report = _run_and_emit(kind, replace(cfg, process="empirical-step"), out_dir)
+        report = _run_and_emit(kind, step_cfg, out_dir)
         results[kind] = report.passed
         print(f"verify-{kind}: {'PASS' if report.passed else 'FAIL'}")
     gauss_cfg = replace(
@@ -390,23 +392,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _error(message: str) -> int:
+    """Print a one-line diagnostic (unprintable characters escaped); exit 1."""
+    line = "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in message)
+    print(f"error: {line}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
+    # Usage errors and every package error (``ParameterError`` reads
+    # ``key: message``) end in one diagnostic line.
     try:
         args = build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return args.handler(args)
-    except ParameterError as exc:
-        print(f"error: {exc.key}: {exc.message}", file=sys.stderr)
-        return 1
-    except (BesovEmpiricaError, AggregationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (BesovEmpiricaError, OSError) as exc:
+        return _error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -52,17 +52,23 @@ def _gaussian_seed(seed: SeedSpec) -> SeedSpec:
     return seed
 
 
-def brownian_motion(J: int, seed: SeedSpec) -> GaussianPath:
-    """Brownian values on the level-``J`` dyadic grid, ``1 <= J <= 24``.
+def synthesis_draws(J: int, seed: SeedSpec) -> np.ndarray:
+    """The standard normals that synthesize a level-``J`` path, ``1 <= J <= 24``.
 
     Draw layout: one vector of ``2**J`` standard normals per stream; entry
     0 is W(1), entries ``[2**j, 2**(j+1))`` are level ``j`` for
-    ``j = 0..J-1``.
+    ``j = 0..J-1``.  These are the path's level coefficients, for the
+    motion and for its bridge alike.
     """
     if not (1 <= J <= MAX_SYNTH_LEVEL):
         raise ParameterError("J", f"synthesis level must be in [1, {MAX_SYNTH_LEVEL}] (got {J})")
+    return sample_gaussian(1 << J, _gaussian_seed(seed))
+
+
+def brownian_motion(J: int, seed: SeedSpec) -> GaussianPath:
+    """Brownian values on the level-``J`` dyadic grid, drawn by ``synthesis_draws``."""
+    draws = synthesis_draws(J, seed)
     seed = _gaussian_seed(seed)
-    draws = sample_gaussian(1 << J, seed)
     levels = tuple(draws[1 << j : 1 << (j + 1)] for j in range(J))
     triangle = CoefficientTriangle(J=J - 1, mu0=0.0, mu1=float(draws[0]), levels=levels)
     return GaussianPath(

@@ -17,6 +17,10 @@ are applied when the report is built.  All band and deviation events
 reduce to integer comparisons on the per-level score sums
 (``2*sum_h <= n`` etc.), so event counts carry no rounding at all.
 
+The Gaussian kernel reads level statistics straight from the synthesis
+draws, which are the path's level coefficients: it rebuilds no path and
+builds no triangle, and a bridge shares the motion's statistics.
+
 Runs with more than one worker share one spawn pool per process: it starts
 on the first such call, is reused by every later call with the same worker
 count, and is terminated at interpreter exit.
@@ -33,6 +37,9 @@ from functools import partial
 
 import numpy as np
 
+# ``level_statistic`` and ``brownian_motion`` are the reference for the
+# Gaussian kernel; they stay importable from here because
+# perfbench/tracing.py wraps them as this module's attributes.
 from .besov import BesovParams, level_statistic, tail_window_start
 # ``halfcell_counts`` and ``signed_sums_by_level`` are the per-replicate
 # reference for the batched step kernel; they stay importable from here
@@ -44,7 +51,7 @@ from .empirical import (
     step_coefficient_scale,
 )
 from .errors import AggregationError, ParameterError
-from .gaussian import MAX_SYNTH_LEVEL, brownian_bridge, brownian_motion
+from .gaussian import MAX_SYNTH_LEVEL, brownian_motion, synthesis_draws
 from .oracle import enumeration_oracle, oracle_applicable
 from .sampling import GAUSSIAN_STREAM, UNIFORM_STREAM, SeedSpec, sample_uniform
 
@@ -69,7 +76,9 @@ RUN_ONLY_FIELDS = ("workers", "chunk_size")
 
 
 def check_max_level(J: int) -> None:
-    """Reject a max level above ``MAX_LEVEL`` before anything is allocated."""
+    """Reject a max level outside ``[1, MAX_LEVEL]`` before anything is allocated."""
+    if J < 1:
+        raise ParameterError("j_max", f"must be >= 1 (got {J})")
     if J > MAX_LEVEL:
         raise ParameterError("j_max", f"must be <= {MAX_LEVEL} (got {J})")
 
@@ -156,6 +165,18 @@ def config_schema() -> dict:
         CONFIG_KEYS.get(f.name, f.name): (f.name, type(f.default))
         for f in fields(ExperimentConfig)
     }
+
+
+def _check_square_statistic(config: ExperimentConfig) -> None:
+    """Reject ``p``/``alpha`` settings an empirical experiment would ignore.
+
+    The moment, concentration and sandwich experiments study the squared
+    level statistic, i.e. ``p = 2`` and ``alpha = 1/2`` only.
+    """
+    if config.p != 2.0:
+        raise ParameterError("p", f"this experiment uses p = 2 only (got {config.p})")
+    if config.alpha != 0.5:
+        raise ParameterError("alpha", f"this experiment uses alpha = 0.5 only (got {config.alpha})")
 
 
 def chebyshev_deviation_bound(n: int, j: int) -> float:
@@ -345,16 +366,23 @@ def _continuous_levels_chunk(cfg: ExperimentConfig, start: int, count: int) -> C
 
 
 def _roynette_chunk(cfg: ExperimentConfig, start: int, count: int) -> ChunkResult:
-    J = cfg.J
-    params = BesovParams(p=cfg.p, alpha=cfg.alpha)
+    """Level statistics ``(2**-j sum_k |g_jk|**p) ** (1/p)`` from the draws.
+
+    Level ``j`` of a replicate is draws ``[2**j, 2**(j+1))`` of its
+    ``synthesis_draws(J + 1, ...)``, for the motion and the bridge alike.
+    The arithmetic is ``level_statistic``'s at ``alpha = 1/2`` in the same
+    order, so the statistics are bit-identical to it.  ``|g|**p`` is taken
+    in place: a fresh 2**(J+1)-entry temporary per replicate costs more
+    than the arithmetic.
+    """
+    J, p = cfg.J, float(cfg.p)
     stats = np.empty((count, J + 1))
     for i in range(count):
-        seed = SeedSpec(cfg.seed, start + i, GAUSSIAN_STREAM)
-        gp = brownian_motion(J + 1, seed)
-        if cfg.process == "bridge":
-            gp = brownian_bridge(gp)
+        draws = synthesis_draws(J + 1, SeedSpec(cfg.seed, start + i, GAUSSIAN_STREAM))
+        powered = np.power(np.abs(draws, out=draws), p, out=draws)
         for j in range(J + 1):
-            stats[i, j] = level_statistic(gp.triangle, j, params)
+            power_sum = float(powered[1 << j : 1 << (j + 1)].sum())
+            stats[i, j] = (2.0 ** -j * power_sum) ** (1.0 / p)
     return ChunkResult(start=start, count=count, payload={"stat": stats})
 
 
@@ -410,6 +438,7 @@ class MomentReport:
 
 def run_moment_experiment(config: ExperimentConfig) -> MomentReport:
     """Estimate every tracked moment of the step-process coefficients."""
+    _check_square_statistic(config)
     if config.process != "empirical-step":
         raise ParameterError(
             "process", "moment verification is defined for the empirical-step process"
@@ -603,6 +632,7 @@ def run_concentration_experiment(config: ExperimentConfig) -> ConcentrationRepor
     frequency does not exceed the bound plus the configured multiple of
     the binomial standard error.
     """
+    _check_square_statistic(config)
     n_list = config.n_values or (config.n,)
     rows = []
     passed = True
@@ -706,6 +736,7 @@ def run_sandwich_experiment(config: ExperimentConfig) -> SandwichReport:
     the (unsquared) level statistic back the finite-norm and
     nonvanishing-tail surrogates.
     """
+    _check_square_statistic(config)
     if config.J < 10:
         raise ParameterError("j_max", f"sandwich verification needs j_max >= 10 (got {config.J})")
     stat_sq, _, in_band = _level_event_matrix(config)
@@ -728,7 +759,7 @@ def run_roynette_experiment(config: ExperimentConfig) -> SandwichReport:
     The statistic concentrates at ``(E |N(0,1)|**p) ** (1/p)``; the report
     tracks the frequency inside ``target +- roynette_band_halfwidth`` per
     level and passes when the top level reaches ``roynette_confidence``.
-    Bridge and motion share coefficient triangles, so their reports carry
+    Bridge and motion share level coefficients, so their reports carry
     identical results for equal seeds.
     """
     if config.process not in ("brownian", "bridge"):

@@ -1,17 +1,24 @@
+import argparse
+import contextlib
 import filecmp
 import hashlib
+import io
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import besov_empirica
 from besov_empirica import besov, cli, dyadic, montecarlo
 from besov_empirica.cli import emit_plot_data, main
+from besov_empirica.errors import ParameterError
 from besov_empirica.montecarlo import (
     ExperimentConfig,
     run_concentration_experiment,
@@ -84,6 +91,41 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith("error: j_max: ") and err.count("\n") == 1, err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command,j_max",
+        [
+            ("simulate-bm", "0"),
+            ("simulate-bm", "24"),
+            ("simulate-bm", "25"),
+            ("simulate-empirical", "0"),
+        ],
+    )
+    def test_simulate_level_names_j_max(self, tmp_path, capsys, command, j_max):
+        out = tmp_path / "o.json"
+        code = run_cli(command, "--j-max", j_max, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: j_max: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify-moments", "verify-concentration", "verify-sandwich"])
+    @pytest.mark.parametrize("flag,value", [("--p", "7"), ("--alpha", "0.9")])
+    def test_unused_exponent_rejected(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "o"
+        code = run_cli(command, flag, value, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {flag[2:]}: ") and err.count("\n") == 1, err
+        assert not list(out.iterdir())
+
+    def test_line_breaks_escaped_in_diagnostic(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a\nb": 1}))
+        assert run_cli("verify-moments", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert run_cli("verify-all", "x\ny") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 2 and "error: a\\nb: unknown configuration key" in err, err
 
     def test_simulate_bm_has_no_sample_size(self, tmp_path, capsys):
         code = run_cli("simulate-bm", "--n", "5", "--out", str(tmp_path / "p.json"))
@@ -163,7 +205,9 @@ class TestConfigSchema:
     def test_report_config_rebuilds_config(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("BESOV_EMPIRICA_WORKERS", raising=False)
         settings = tmp_path / "settings.json"
-        settings.write_text(json.dumps({"n_values": [20, 40], "j_min": 3, "p": 3}))
+        settings.write_text(
+            json.dumps({"n_values": [20, 40], "j_min": 3, "concentration_se_multiplier": 4})
+        )
         argv = [
             "verify-concentration", "--seed", "9", "--j-max", "8",
             "--replicates", "100", "--config", str(settings),
@@ -352,6 +396,65 @@ class TestDeterminism:
         assert set(summary["components"]) == {
             "moments", "concentration", "sandwich", "roynette",
         }
+
+    def test_verify_all_pins_step_exponents(self, tmp_path, capsys, relaxed_cfg):
+        out = tmp_path / "suite"
+        code = run_cli(
+            "verify-all", "--seed", "42", "--n", "40", "--j-max", "10", "--p", "4",
+            "--alpha", "0.9", "--replicates", "120", "--config", relaxed_cfg,
+            "--out", str(out),
+        )
+        assert code in (0, 2), capsys.readouterr().err
+        for kind in ("moments", "concentration", "sandwich"):
+            config = json.loads((out / f"{kind}.json").read_text())["config"]
+            assert (config["p"], config["alpha"]) == (2.0, 0.5), kind
+        config = json.loads((out / "roynette.json").read_text())["config"]
+        assert (config["p"], config["alpha"]) == (4.0, 0.5)
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=6)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_CONFIG_OBJECTS = st.dictionaries(
+    st.sampled_from(sorted(montecarlo.config_schema())) | st.text(max_size=8),
+    _JSON_VALUES,
+    max_size=6,
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300)
+    @given(settings_obj=_CONFIG_OBJECTS)
+    def test_config_gives_config_or_one_line_error(self, settings_obj):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(settings_obj, fh)
+            try:
+                cfg = cli._experiment_config(argparse.Namespace(config=path))
+            except ParameterError:
+                pass
+            else:
+                # Valid settings may ask for any amount of work; run none.
+                assert isinstance(cfg, ExperimentConfig)
+                return
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["verify-moments", "--config", path, "--out", os.path.join(tmp, "o")])
+            assert code == 1
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (
+                err.getvalue()
+            )
 
 
 def tree_digest(directory) -> str:

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besov_empirica.besov import BesovParams, level_statistic
 from besov_empirica.empirical import halfcell_counts, signed_sums_by_level
 from besov_empirica.errors import AggregationError, ParameterError
 from besov_empirica.montecarlo import (
     ChunkResult,
     ExperimentConfig,
+    _roynette_chunk,
     _step_chunk,
     absolute_moment_target,
     aggregate,
@@ -22,7 +24,8 @@ from besov_empirica.montecarlo import (
     run_roynette_experiment,
     run_sandwich_experiment,
 )
-from besov_empirica.sampling import UNIFORM_STREAM, SeedSpec, sample_uniform
+from besov_empirica.gaussian import brownian_bridge, brownian_motion
+from besov_empirica.sampling import GAUSSIAN_STREAM, UNIFORM_STREAM, SeedSpec, sample_uniform
 
 SEED = 42
 
@@ -145,6 +148,31 @@ class TestStepKernel:
         with pytest.raises(ParameterError) as err:
             run_moment_experiment(cfg)
         assert err.value.key == "replicates"
+
+
+class TestGaussianKernel:
+    @settings(max_examples=40)
+    @given(
+        J=st.integers(6, 10),
+        p=st.sampled_from([1.0, 2.0, 2.5, 4.0]),
+        process=st.sampled_from(["brownian", "bridge"]),
+        start=st.integers(0, 2**64 - 8),
+        count=st.integers(1, 7),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_path_reference(self, J, p, process, start, count, seed):
+        cfg = ExperimentConfig(process=process, J=J, p=p, seed=seed)
+        params = BesovParams(p=p, alpha=0.5)
+        want = np.empty((count, J + 1))
+        for i in range(count):
+            gp = brownian_motion(J + 1, SeedSpec(seed, start + i, GAUSSIAN_STREAM))
+            if process == "bridge":
+                gp = brownian_bridge(gp)
+            want[i] = [level_statistic(gp.triangle, j, params) for j in range(J + 1)]
+        got = _roynette_chunk(cfg, start, count)
+        assert (got.start, got.count) == (start, count)
+        assert set(got.payload) == {"stat"}
+        np.testing.assert_array_equal(got.payload["stat"], want)
 
 
 class TestMoments:
