@@ -24,8 +24,6 @@ from . import besov, dyadic, empirical, gaussian, montecarlo
 from .errors import BesovEmpiricaError, ParameterError
 from .sampling import UNIFORM_STREAM, SeedSpec, sample_uniform
 
-WORKERS_ENV_VAR = "BESOV_EMPIRICA_WORKERS"
-
 #: Gaussian part of the default verification suite.
 ROYNETTE_SUITE_LEVEL = 14
 
@@ -99,15 +97,6 @@ def _experiment_config(args, defaults: dict | None = None) -> montecarlo.Experim
     for key, (field, _) in schema.items():
         if (value := getattr(args, key, None)) is not None:
             settings[field] = value
-    if "workers" not in settings:
-        env = os.environ.get(WORKERS_ENV_VAR)
-        if env is not None:
-            try:
-                settings["workers"] = int(env)
-            except ValueError as exc:
-                raise ParameterError(
-                    "workers", f"{WORKERS_ENV_VAR} must be an integer (got {env!r})"
-                ) from exc
     return montecarlo.ExperimentConfig(**settings)
 
 
@@ -201,20 +190,7 @@ def emit_plot_data(obj, path) -> None:
 
 
 def _emit_moment_levels_csv(report: montecarlo.MomentReport, path) -> None:
-    keys = [
-        "mean_h_pooled",
-        "se_h_pooled",
-        "mean_h2_pooled",
-        "se_h2_pooled",
-        "mean_pair",
-        "se_pair",
-        "var_g_pooled",
-        "se_var_g_pooled",
-        "mean_sum_g",
-        "se_sum_g",
-        "var_sum_g",
-        "se_var_sum_g",
-    ]
+    keys = list(report.level_stats)
     rows = [
         [j] + [report.level_stats[key][j] for key in keys]
         for j in range(report.config.J + 1)
@@ -229,6 +205,7 @@ def _emit_moment_levels_csv(report: montecarlo.MomentReport, path) -> None:
 
 def _cmd_simulate_empirical(args) -> int:
     montecarlo.check_max_level(args.j_max)
+    montecarlo.check_sample_points("n", args.n)
     sample = sample_uniform(args.n, SeedSpec(args.seed, 0, UNIFORM_STREAM))
     tri = empirical.empirical_coefficients(sample, args.j_max, source=args.source)
     sup = empirical.sup_distance(empirical.continuous_ecdf(sample))
@@ -313,14 +290,12 @@ def _cmd_verify_all(args) -> int:
     cfg = _experiment_config(args)
     out_dir = _out_dir(args)
     results = {}
-    step_cfg = replace(cfg, process="empirical-step", p=2.0, alpha=0.5)
+    step_cfg = replace(cfg, process="empirical-step", p=2.0)
     for kind in ("moments", "concentration", "sandwich"):
         report = _run_and_emit(kind, step_cfg, out_dir)
         results[kind] = report.passed
         print(f"verify-{kind}: {'PASS' if report.passed else 'FAIL'}")
-    gauss_cfg = replace(
-        cfg, process="brownian", J=max(cfg.J, ROYNETTE_SUITE_LEVEL), alpha=0.5
-    )
+    gauss_cfg = replace(cfg, process="brownian", J=max(cfg.J, ROYNETTE_SUITE_LEVEL))
     report = _run_and_emit("roynette", gauss_cfg, out_dir)
     results["roynette"] = report.passed
     print(f"verify-roynette: {'PASS' if report.passed else 'FAIL'}")
@@ -345,7 +320,6 @@ def _add_common_flags(sub, experiment=True):
         sub.add_argument("--n", type=int, default=None, help="sample size")
         sub.add_argument("--replicates", type=int, default=None, help="replicate count")
         sub.add_argument("--p", type=float, default=None, help="integrability exponent")
-        sub.add_argument("--alpha", type=float, default=None, help="smoothness parameter")
         sub.add_argument("--config", default=None, help="JSON config file (flags win)")
         sub.add_argument("--workers", type=int, default=None, help="worker process count")
     sub.add_argument("--out", default=None, help="output file or directory")

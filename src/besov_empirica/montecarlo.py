@@ -60,12 +60,33 @@ PROCESSES = ("empirical-step", "empirical-continuous", "brownian", "bridge")
 #: Oracle blocks are attached for levels up to this cap when enumerable.
 ORACLE_LEVEL_CAP = 3
 
+# Pass rules of the reports.  They grade fixed claims of the paper, so they
+# are constants, not settings.
+#: An oracle moment passes within this many standard errors.
+ORACLE_SE_MULTIPLIER = 4.0
+#: A cell's mean ``G`` covers 1 within this many standard errors ...
+COVERAGE_SE_MULTIPLIER = 3.0
+#: ... counted at levels ``0..COVERAGE_MAX_LEVEL``.
+COVERAGE_MAX_LEVEL = 8
+#: A deviation frequency passes up to the bound plus this many standard errors.
+CONCENTRATION_SE_MULTIPLIER = 3.0
+#: In-band frequency the top three sandwich levels must reach.
+SANDWICH_CONFIDENCE = 0.95
+#: In-band frequency the top Gaussian level must reach.
+ROYNETTE_CONFIDENCE = 0.99
+
 #: int64 safety for sums of H**2 (worst case n**4 per level).
 MAX_MOMENT_SAMPLE = 20_000
 
 #: Largest max level any run accepts: the Gaussian synthesis cap, which also
 #: keeps the empirical half-cell arrays (``2**(J+1)`` entries) desk-scale.
 MAX_LEVEL = MAX_SYNTH_LEVEL - 1
+
+#: Most sample points one chunk may stack (``n * chunk_size``).  The step
+#: kernel peaks near 66 bytes per stacked point (float64 samples, int64
+#: half-cell indices and per-level temporaries, measured at n = 10**4 with
+#: 100 replicates), so 2**22 points stay near 270 MiB, well under 1 GiB.
+MAX_CHUNK_POINTS = 1 << 22
 
 #: Config keys whose name differs from their ``ExperimentConfig`` field.
 CONFIG_KEYS = {"J": "j_max", "R": "replicates"}
@@ -83,6 +104,15 @@ def check_max_level(J: int) -> None:
         raise ParameterError("j_max", f"must be <= {MAX_LEVEL} (got {J})")
 
 
+def check_sample_points(key: str, n: int, chunk_size: int = 1) -> None:
+    """Reject a chunk of more than ``MAX_CHUNK_POINTS`` points before any draw."""
+    if n * chunk_size > MAX_CHUNK_POINTS:
+        points = f"{n}" if chunk_size == 1 else f"{n} * chunk_size {chunk_size}"
+        raise ParameterError(
+            key, f"at most {MAX_CHUNK_POINTS} sample points at once (got {points})"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Settings shared by every experiment runner.
@@ -96,16 +126,9 @@ class ExperimentConfig:
     J: int = 12
     R: int = 2000
     p: float = 2.0
-    alpha: float = 0.5
     seed: int = 42
-    sandwich_confidence: float = 0.95
-    roynette_confidence: float = 0.99
     roynette_band_halfwidth: float = 0.1
     coverage_threshold: float = 0.99
-    coverage_se_multiplier: float = 3.0
-    coverage_max_level: int = 8
-    oracle_se_multiplier: float = 4.0
-    concentration_se_multiplier: float = 3.0
     n_values: tuple = ()
     j_min: int = 0
     workers: int = 1
@@ -116,6 +139,7 @@ class ExperimentConfig:
             raise ParameterError("process", f"must be one of {PROCESSES} (got {self.process!r})")
         if self.n < 2:
             raise ParameterError("n", f"must be >= 2 (got {self.n})")
+        check_sample_points("n", self.n, self.chunk_size)
         if self.J < 6:
             raise ParameterError("j_max", f"must be >= 6 (got {self.J})")
         check_max_level(self.J)
@@ -123,28 +147,18 @@ class ExperimentConfig:
             raise ParameterError("replicates", f"must be >= 100 (got {self.R})")
         if not 0 <= self.seed < (1 << 64):
             raise ParameterError("seed", f"must be an unsigned 64-bit integer (got {self.seed})")
-        BesovParams(p=self.p, alpha=self.alpha)
-        for key in ("sandwich_confidence", "roynette_confidence"):
-            value = getattr(self, key)
-            if not 0.0 < value < 1.0:
-                raise ParameterError(key, f"must lie in (0, 1) (got {value})")
+        BesovParams(p=self.p, alpha=0.5)
         if self.roynette_band_halfwidth <= 0.0:
             raise ParameterError("roynette_band_halfwidth", "must be positive")
         if not 0.0 < self.coverage_threshold <= 1.0:
             raise ParameterError("coverage_threshold", "must lie in (0, 1]")
-        for key in ("coverage_se_multiplier", "oracle_se_multiplier", "concentration_se_multiplier"):
-            if getattr(self, key) <= 0.0:
-                raise ParameterError(key, "must be positive")
-        if self.coverage_max_level < 0:
-            raise ParameterError(
-                "coverage_max_level", f"must be >= 0 (got {self.coverage_max_level})"
-            )
         if not 0 <= self.j_min <= self.J:
             raise ParameterError("j_min", f"must lie in [0, {self.J}] (got {self.j_min})")
         object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
         for v in self.n_values:
             if v < 2:
                 raise ParameterError("n_values", f"sample sizes must be >= 2 (got {v})")
+            check_sample_points("n_values", v, self.chunk_size)
         if self.workers < 1:
             raise ParameterError("workers", f"must be >= 1 (got {self.workers})")
         if self.chunk_size < 1:
@@ -168,15 +182,13 @@ def config_schema() -> dict:
 
 
 def _check_square_statistic(config: ExperimentConfig) -> None:
-    """Reject ``p``/``alpha`` settings an empirical experiment would ignore.
+    """Reject a ``p`` an empirical experiment would ignore.
 
     The moment, concentration and sandwich experiments study the squared
-    level statistic, i.e. ``p = 2`` and ``alpha = 1/2`` only.
+    level statistic, i.e. ``p = 2`` only.
     """
     if config.p != 2.0:
         raise ParameterError("p", f"this experiment uses p = 2 only (got {config.p})")
-    if config.alpha != 0.5:
-        raise ParameterError("alpha", f"this experiment uses alpha = 0.5 only (got {config.alpha})")
 
 
 def chebyshev_deviation_bound(n: int, j: int) -> float:
@@ -536,7 +548,7 @@ def run_moment_experiment(config: ExperimentConfig) -> MomentReport:
 
         def compare(name, estimate, se, exact):
             nonlocal oracle_ok
-            within = abs(estimate - float(exact)) <= config.oracle_se_multiplier * se
+            within = abs(estimate - float(exact)) <= ORACLE_SE_MULTIPLIER * se
             oracle_ok = oracle_ok and within
             comparisons.append(
                 {
@@ -560,20 +572,20 @@ def run_moment_experiment(config: ExperimentConfig) -> MomentReport:
         block["comparisons"] = comparisons
         oracle_blocks.append(block)
 
-    max_level = min(config.coverage_max_level, J)
+    max_level = min(COVERAGE_MAX_LEVEL, J)
     hits = 0
     total = 0
     for j in range(max_level + 1):
         mean_g = np.asarray(cell_stats[j]["mean_g"])
         se_g = np.asarray(cell_stats[j]["se_g"])
-        hits += int(np.sum(np.abs(mean_g - 1.0) <= config.coverage_se_multiplier * se_g))
+        hits += int(np.sum(np.abs(mean_g - 1.0) <= COVERAGE_SE_MULTIPLIER * se_g))
         total += len(mean_g)
     coverage = {
         "fraction": hits / total,
         "hits": hits,
         "cells": total,
         "max_level": max_level,
-        "se_multiplier": config.coverage_se_multiplier,
+        "se_multiplier": COVERAGE_SE_MULTIPLIER,
         "threshold": config.coverage_threshold,
     }
     passed = coverage["fraction"] >= config.coverage_threshold and oracle_ok
@@ -629,8 +641,8 @@ def run_concentration_experiment(config: ExperimentConfig) -> ConcentrationRepor
 
     Covers every sample size in ``config.n_values`` (falling back to
     ``config.n``) and levels ``j_min..J``; a cell passes when its observed
-    frequency does not exceed the bound plus the configured multiple of
-    the binomial standard error.
+    frequency does not exceed the bound plus ``CONCENTRATION_SE_MULTIPLIER``
+    binomial standard errors.
     """
     _check_square_statistic(config)
     n_list = config.n_values or (config.n,)
@@ -643,7 +655,7 @@ def run_concentration_experiment(config: ExperimentConfig) -> ConcentrationRepor
             freq = float(np.mean(deviated[:, j]))
             bound = chebyshev_deviation_bound(n, j)
             se = math.sqrt(freq * (1.0 - freq) / config.R)
-            ok = freq <= bound + config.concentration_se_multiplier * se
+            ok = freq <= bound + CONCENTRATION_SE_MULTIPLIER * se
             passed = passed and ok
             rows.append(
                 {"n": n, "j": j, "frequency": freq, "bound": bound, "se": se, "passed": ok}
@@ -732,7 +744,7 @@ def run_sandwich_experiment(config: ExperimentConfig) -> SandwichReport:
     """Frequencies of ``1/2 <= 2**-j sum_k |c_jk|**2 <= 3/2`` per level.
 
     Passes when the in-band frequency at the top three levels reaches
-    ``sandwich_confidence``.  Per-replicate sup and tail-min summaries of
+    ``SANDWICH_CONFIDENCE``.  Per-replicate sup and tail-min summaries of
     the (unsquared) level statistic back the finite-norm and
     nonvanishing-tail surrogates.
     """
@@ -742,7 +754,7 @@ def run_sandwich_experiment(config: ExperimentConfig) -> SandwichReport:
     stat_sq, _, in_band = _level_event_matrix(config)
     return _band_report(
         "sandwich", config, np.sqrt(stat_sq), stat_sq, in_band,
-        top_levels=3, confidence=config.sandwich_confidence,
+        top_levels=3, confidence=SANDWICH_CONFIDENCE,
         statistic="squared_level", band_lo=0.5, band_hi=1.5, target=None,
     )
 
@@ -758,16 +770,12 @@ def run_roynette_experiment(config: ExperimentConfig) -> SandwichReport:
 
     The statistic concentrates at ``(E |N(0,1)|**p) ** (1/p)``; the report
     tracks the frequency inside ``target +- roynette_band_halfwidth`` per
-    level and passes when the top level reaches ``roynette_confidence``.
+    level and passes when the top level reaches ``ROYNETTE_CONFIDENCE``.
     Bridge and motion share level coefficients, so their reports carry
     identical results for equal seeds.
     """
     if config.process not in ("brownian", "bridge"):
         raise ParameterError("process", "this experiment needs a Gaussian process")
-    if config.alpha != 0.5:
-        raise ParameterError(
-            "alpha", "the Gaussian level statistic uses the alpha = 1/2 weighting"
-        )
     parts = run_chunked("roynette", config)
     stat = aggregate(parts, config.R, {"stat": "stack"})["stat"]
     target = absolute_moment_target(config.p)
@@ -775,6 +783,6 @@ def run_roynette_experiment(config: ExperimentConfig) -> SandwichReport:
     hi = target + config.roynette_band_halfwidth
     return _band_report(
         "roynette", config, stat, stat**2, (stat >= lo) & (stat <= hi),
-        top_levels=1, confidence=config.roynette_confidence,
+        top_levels=1, confidence=ROYNETTE_CONFIDENCE,
         statistic="level", band_lo=lo, band_hi=hi, target=target,
     )

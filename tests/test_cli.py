@@ -6,6 +6,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -27,6 +28,11 @@ from besov_empirica.montecarlo import (
 )
 
 from conftest import read_report_csv
+
+
+VERIFY_COMMANDS = [
+    "verify-moments", "verify-concentration", "verify-sandwich", "verify-roynette", "verify-all",
+]
 
 
 def run_cli(*argv):
@@ -70,7 +76,7 @@ class TestUsageErrors:
         [
             ({"n": "abc"}, "n"),
             ({"n_values": 5}, "n_values"),
-            ({"coverage_max_level": -1}, "coverage_max_level"),
+            ({"j_min": -1}, "j_min"),
             ({"n": 2.7}, "n"),
         ],
         ids=["string-int", "scalar-list", "negative-level", "fractional-int"],
@@ -82,6 +88,29 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {key}: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "argv,settings,key",
+        [
+            (["simulate-empirical", "--n", str(10**20)], None, "n"),
+            (["verify-sandwich", "--n", str(10**20)], None, "n"),
+            # 50000 points times the default chunk of 100 replicates.
+            (["verify-sandwich", "--n", "50000"], None, "n"),
+            (["verify-concentration"], {"n_values": [100, 10**20]}, "n_values"),
+        ],
+        ids=["simulate-n", "verify-n", "verify-n-times-chunk", "n-values"],
+    )
+    def test_sample_points_cap_before_draws(self, tmp_path, capsys, argv, settings, key):
+        if settings is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(settings))
+            argv = argv + ["--config", str(cfg)]
+        out = tmp_path / "o"
+        code = run_cli(*argv, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate-empirical", "verify-sandwich"])
     def test_level_cap_before_allocation(self, tmp_path, capsys, command):
@@ -110,7 +139,7 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["verify-moments", "verify-concentration", "verify-sandwich"])
-    @pytest.mark.parametrize("flag,value", [("--p", "7"), ("--alpha", "0.9")])
+    @pytest.mark.parametrize("flag,value", [("--p", "7")])
     def test_unused_exponent_rejected(self, tmp_path, capsys, command, flag, value):
         out = tmp_path / "o"
         code = run_cli(command, flag, value, "--out", str(out))
@@ -202,12 +231,9 @@ class TestSimulate:
 
 
 class TestConfigSchema:
-    def test_report_config_rebuilds_config(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("BESOV_EMPIRICA_WORKERS", raising=False)
+    def test_report_config_rebuilds_config(self, tmp_path, capsys):
         settings = tmp_path / "settings.json"
-        settings.write_text(
-            json.dumps({"n_values": [20, 40], "j_min": 3, "concentration_se_multiplier": 4})
-        )
+        settings.write_text(json.dumps({"n_values": [20, 40], "j_min": 3, "p": 2}))
         argv = [
             "verify-concentration", "--seed", "9", "--j-max", "8",
             "--replicates", "100", "--config", str(settings),
@@ -226,6 +252,57 @@ class TestConfigSchema:
         report_keys = set(ExperimentConfig().as_dict())
         assert "workers" not in report_keys and "chunk_size" not in report_keys
         assert set(montecarlo.config_schema()) == report_keys | {"workers", "chunk_size"}
+
+
+#: Former ``ExperimentConfig`` fields, now constants, with their last default.
+RETIRED_SETTINGS = {
+    "alpha": 0.5,
+    "sandwich_confidence": 0.95,
+    "roynette_confidence": 0.99,
+    "coverage_se_multiplier": 3.0,
+    "coverage_max_level": 8,
+    "oracle_se_multiplier": 4.0,
+    "concentration_se_multiplier": 3.0,
+}
+
+
+class TestRetiredSettings:
+    @pytest.mark.parametrize("key", sorted(RETIRED_SETTINGS))
+    def test_retired_config_key(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: RETIRED_SETTINGS[key]}))
+        out = tmp_path / "o"
+        assert run_cli("verify-moments", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {key}: unknown configuration key\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", VERIFY_COMMANDS)
+    def test_alpha_flag_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        assert run_cli(command, "--alpha", "0.9", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--alpha" in err and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+def test_readme_lists_verify_flags():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        match = re.search(r"Flags of the `verify-\*` commands: `([^`]*)`", fh.read())
+    assert match, "README lost its paragraph on the verify-* flags"
+    documented = set(re.findall(r"--[a-z][a-z-]*", match.group(1)))
+    (subcommands,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    for command in VERIFY_COMMANDS:
+        flags = {
+            flag
+            for action in subcommands.choices[command]._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        assert flags == documented, command
 
 
 def test_package_exports_resolve():
@@ -336,21 +413,6 @@ class TestVerifyCommands:
         assert doc["config"]["n"] == 60
         assert doc["config"]["replicates"] == 120
 
-    def test_workers_env_default(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("BESOV_EMPIRICA_WORKERS", "2")
-        out = tmp_path / "rep"
-        code = run_cli(
-            "verify-sandwich", "--seed", "2", "--n", "50",
-            "--j-max", "10", "--replicates", "120", "--out", str(out),
-        )
-        assert code == 0
-
-    def test_bad_workers_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("BESOV_EMPIRICA_WORKERS", "many")
-        code = run_cli("verify-sandwich", "--out", str(tmp_path / "rep"))
-        assert code == 1
-        assert "workers" in capsys.readouterr().err
-
 
 class TestDeterminism:
     @pytest.fixture
@@ -401,15 +463,12 @@ class TestDeterminism:
         out = tmp_path / "suite"
         code = run_cli(
             "verify-all", "--seed", "42", "--n", "40", "--j-max", "10", "--p", "4",
-            "--alpha", "0.9", "--replicates", "120", "--config", relaxed_cfg,
-            "--out", str(out),
+            "--replicates", "120", "--config", relaxed_cfg, "--out", str(out),
         )
         assert code in (0, 2), capsys.readouterr().err
-        for kind in ("moments", "concentration", "sandwich"):
+        for kind, p in [("moments", 2.0), ("concentration", 2.0), ("sandwich", 2.0), ("roynette", 4.0)]:
             config = json.loads((out / f"{kind}.json").read_text())["config"]
-            assert (config["p"], config["alpha"]) == (2.0, 0.5), kind
-        config = json.loads((out / "roynette.json").read_text())["config"]
-        assert (config["p"], config["alpha"]) == (4.0, 0.5)
+            assert config["p"] == p and "alpha" not in config, kind
 
 
 _JSON_SCALARS = (
@@ -469,7 +528,7 @@ def tree_digest(directory) -> str:
 #: Digest of ``verify-all --seed 42 --workers 1 --replicates 200 --j-max 10``
 #: (recorded with numpy 2.4).  A change that moves any report byte must
 #: update it on purpose and say why in CHANGES.md.
-GOLDEN_VERIFY_ALL_SHA256 = "301300e1b6127e2a6c50849d5591e2d399c9f5faf36196c9f5a44d9ef328490a"
+GOLDEN_VERIFY_ALL_SHA256 = "805e4a78fb2908ea0edbc712b942f166637be409594af5f07566a8d73dde4639"
 
 
 class TestWorkerPool:

@@ -43,18 +43,23 @@ class TestConfigValidation:
             ({"R": 50}, "replicates"),
             ({"seed": -1}, "seed"),
             ({"p": 0.5}, "p"),
-            ({"alpha": 2.0}, "alpha"),
-            ({"sandwich_confidence": 1.5}, "sandwich_confidence"),
+            ({"n": 50_000}, "n"),
+            ({"n_values": (100, 50_000)}, "n_values"),
             ({"j_min": 15}, "j_min"),
             ({"workers": 0}, "workers"),
             ({"n_values": (1,)}, "n_values"),
-            ({"coverage_max_level": -1}, "coverage_max_level"),
         ],
     )
     def test_rejections(self, kwargs, key):
         with pytest.raises(ParameterError) as err:
             ExperimentConfig(**kwargs)
         assert err.value.key == key
+
+    def test_sample_points_cap_counts_the_chunk(self):
+        # 50000 points times 80 replicates fit under MAX_CHUNK_POINTS; times
+        # the default chunk of 100 they do not (see test_rejections).
+        ExperimentConfig(n=50_000, chunk_size=80)
+        ExperimentConfig(n_values=(50_000,), chunk_size=80)
 
 
 class TestAggregate:
@@ -330,11 +335,6 @@ class TestRoynette:
     def test_requires_gaussian_process(self):
         with pytest.raises(ParameterError):
             run_roynette_experiment(ExperimentConfig(process="empirical-step"))
-
-    def test_requires_half_alpha(self):
-        cfg = ExperimentConfig(process="brownian", J=10, R=200, alpha=0.4)
-        with pytest.raises(ParameterError):
-            run_roynette_experiment(cfg)
 
 
 class TestScaling:
