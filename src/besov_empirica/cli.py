@@ -64,19 +64,14 @@ def _config_value(key: str, value, kind):
         ok, expected = isinstance(value, str), "a string"
     elif kind is int:
         ok, expected = _is_int(value), "an integer"
-    elif kind is float:
+    else:
         expected = "a finite number"
         try:
             ok = (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
         except OverflowError:
             ok = False
-    else:
-        ok = isinstance(value, list) and all(_is_int(v) for v in value)
-        expected = "a list of integers"
     if not ok:
         raise ParameterError(key, f"must be {expected} (got {value!r})")
-    if kind is tuple:
-        return tuple(value)
     return float(value) if kind is float else value
 
 
@@ -205,7 +200,7 @@ def _emit_moment_levels_csv(report: montecarlo.MomentReport, path) -> None:
 
 def _cmd_simulate_empirical(args) -> int:
     montecarlo.check_max_level(args.j_max)
-    montecarlo.check_sample_points("n", args.n)
+    montecarlo.check_sample_points(args.n)
     sample = sample_uniform(args.n, SeedSpec(args.seed, 0, UNIFORM_STREAM))
     tri = empirical.empirical_coefficients(sample, args.j_max, source=args.source)
     sup = empirical.sup_distance(empirical.continuous_ecdf(sample))
@@ -288,6 +283,10 @@ def _cmd_verify(kind: str, args) -> int:
 
 def _cmd_verify_all(args) -> int:
     cfg = _experiment_config(args)
+    if cfg.process != "empirical-step":
+        raise ParameterError(
+            "process", f"verify-all sets the process of each experiment (got {cfg.process!r})"
+        )
     out_dir = _out_dir(args)
     results = {}
     step_cfg = replace(cfg, process="empirical-step", p=2.0)

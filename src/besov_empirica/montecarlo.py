@@ -29,10 +29,11 @@ count, and is terminated at interpreter exit.
 from __future__ import annotations
 
 import atexit
+import itertools
 import math
 import multiprocessing
 import threading
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -104,12 +105,12 @@ def check_max_level(J: int) -> None:
         raise ParameterError("j_max", f"must be <= {MAX_LEVEL} (got {J})")
 
 
-def check_sample_points(key: str, n: int, chunk_size: int = 1) -> None:
+def check_sample_points(n: int, chunk_size: int = 1) -> None:
     """Reject a chunk of more than ``MAX_CHUNK_POINTS`` points before any draw."""
     if n * chunk_size > MAX_CHUNK_POINTS:
         points = f"{n}" if chunk_size == 1 else f"{n} * chunk_size {chunk_size}"
         raise ParameterError(
-            key, f"at most {MAX_CHUNK_POINTS} sample points at once (got {points})"
+            "n", f"at most {MAX_CHUNK_POINTS} sample points at once (got {points})"
         )
 
 
@@ -129,8 +130,6 @@ class ExperimentConfig:
     seed: int = 42
     roynette_band_halfwidth: float = 0.1
     coverage_threshold: float = 0.99
-    n_values: tuple = ()
-    j_min: int = 0
     workers: int = 1
     chunk_size: int = 100
 
@@ -139,7 +138,7 @@ class ExperimentConfig:
             raise ParameterError("process", f"must be one of {PROCESSES} (got {self.process!r})")
         if self.n < 2:
             raise ParameterError("n", f"must be >= 2 (got {self.n})")
-        check_sample_points("n", self.n, self.chunk_size)
+        check_sample_points(self.n, self.chunk_size)
         if self.J < 6:
             raise ParameterError("j_max", f"must be >= 6 (got {self.J})")
         check_max_level(self.J)
@@ -152,13 +151,6 @@ class ExperimentConfig:
             raise ParameterError("roynette_band_halfwidth", "must be positive")
         if not 0.0 < self.coverage_threshold <= 1.0:
             raise ParameterError("coverage_threshold", "must lie in (0, 1]")
-        if not 0 <= self.j_min <= self.J:
-            raise ParameterError("j_min", f"must lie in [0, {self.J}] (got {self.j_min})")
-        object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
-        for v in self.n_values:
-            if v < 2:
-                raise ParameterError("n_values", f"sample sizes must be >= 2 (got {v})")
-            check_sample_points("n_values", v, self.chunk_size)
         if self.workers < 1:
             raise ParameterError("workers", f"must be >= 1 (got {self.workers})")
         if self.chunk_size < 1:
@@ -247,10 +239,6 @@ def _chunk_specs(R: int, chunk_size: int):
     return [(start, min(chunk_size, R - start)) for start in range(0, R, chunk_size)]
 
 
-def _chunk_entry(name: str, cfg: ExperimentConfig, start: int, count: int) -> ChunkResult:
-    return _CHUNK_FUNCTIONS[name](cfg, start, count)
-
-
 #: This process's worker pool as ``(worker count, pool)`` once started.
 _pool = None
 _pool_lock = threading.RLock()
@@ -284,13 +272,18 @@ atexit.register(shutdown_pool)
 
 
 def run_chunked(name: str, cfg: ExperimentConfig) -> list:
-    """Run all chunks of an experiment, serially or on the process's pool."""
-    specs = _chunk_specs(cfg.R, cfg.chunk_size)
+    """Run all chunks of an experiment, serially or on the process's pool.
+
+    The kernels are module functions or ``partial``s of them, so a spawned
+    worker unpickles them by reference.
+    """
+    kernel = _CHUNK_FUNCTIONS[name]
+    args = [(cfg, start, count) for start, count in _chunk_specs(cfg.R, cfg.chunk_size)]
     if cfg.workers <= 1:
-        return [_CHUNK_FUNCTIONS[name](cfg, start, count) for start, count in specs]
+        return list(itertools.starmap(kernel, args))
     pool = _worker_pool(cfg.workers)
     try:
-        return pool.starmap(_chunk_entry, [(name, cfg, start, count) for start, count in specs])
+        return pool.starmap(kernel, args)
     except BaseException:
         # Chunks of an abandoned call may still be queued; start afresh.
         shutdown_pool()
@@ -603,7 +596,7 @@ def run_moment_experiment(config: ExperimentConfig) -> MomentReport:
 
 @dataclass
 class ConcentrationReport:
-    """Per-(n, j) deviation frequencies against the ``4 * eps`` bound."""
+    """Per-level deviation frequencies at one ``n`` against the ``4 * eps`` bound."""
 
     config: ExperimentConfig
     R: int
@@ -618,49 +611,54 @@ class ConcentrationReport:
         }
 
 
+def _step_level_sums(cfg: ExperimentConfig) -> np.ndarray:
+    """Per-replicate int64 ``sum_k H`` of the step process, levels ``0..J``.
+
+    The squared level statistic is ``sum_h / n``, so band and deviation
+    events are exact integer comparisons of ``2 * sum_h`` with ``n``.
+    """
+    parts = run_chunked("step_levels", cfg)
+    return aggregate(parts, cfg.R, {"sum_h": "stack"})["sum_h"]
+
+
 def _level_event_matrix(cfg: ExperimentConfig):
-    """Per-replicate squared level statistic and exact event matrices."""
+    """Per-replicate squared level statistic and in-band events."""
     if cfg.process == "empirical-step":
-        parts = run_chunked("step_levels", cfg)
-        sh = aggregate(parts, cfg.R, {"sum_h": "stack"})["sum_h"]
-        stat_sq = sh / cfg.n
-        deviated = (2 * sh <= cfg.n) | (2 * sh >= 3 * cfg.n)
-        in_band = (2 * sh >= cfg.n) & (2 * sh <= 3 * cfg.n)
-    elif cfg.process == "empirical-continuous":
+        sh = _step_level_sums(cfg)
+        return sh / cfg.n, (2 * sh >= cfg.n) & (2 * sh <= 3 * cfg.n)
+    if cfg.process == "empirical-continuous":
         parts = run_chunked("continuous_levels", cfg)
         stat_sq = aggregate(parts, cfg.R, {"stat_sq": "stack"})["stat_sq"]
-        deviated = np.abs(stat_sq - 1.0) >= 0.5
-        in_band = (stat_sq >= 0.5) & (stat_sq <= 1.5)
-    else:
-        raise ParameterError("process", "this experiment needs an empirical process")
-    return stat_sq, deviated, in_band
+        return stat_sq, (stat_sq >= 0.5) & (stat_sq <= 1.5)
+    raise ParameterError("process", "this experiment needs an empirical process")
 
 
 def run_concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
     """Check P(|2**-j sum_k G_jk - 1| >= 1/2) against ``4 * (3 - 3/n)/2**j``.
 
-    Covers every sample size in ``config.n_values`` (falling back to
-    ``config.n``) and levels ``j_min..J``; a cell passes when its observed
-    frequency does not exceed the bound plus ``CONCENTRATION_SE_MULTIPLIER``
-    binomial standard errors.
+    One step-process run at ``config.n``, graded at levels ``0..J``; a level
+    passes when its observed frequency does not exceed the bound plus
+    ``CONCENTRATION_SE_MULTIPLIER`` binomial standard errors.  To sweep
+    sample sizes, run it once per ``n``: the streams depend only on the seed
+    and the replicate index.
     """
     _check_square_statistic(config)
-    n_list = config.n_values or (config.n,)
+    if config.process != "empirical-step":
+        raise ParameterError(
+            "process", "concentration verification is defined for the empirical-step process"
+        )
+    n, R = config.n, config.R
+    sh = _step_level_sums(config)
+    deviated = (2 * sh <= n) | (2 * sh >= 3 * n)
     rows = []
-    passed = True
-    for n in n_list:
-        cfg_n = replace(config, n=n, n_values=())
-        _, deviated, _ = _level_event_matrix(cfg_n)
-        for j in range(config.j_min, config.J + 1):
-            freq = float(np.mean(deviated[:, j]))
-            bound = chebyshev_deviation_bound(n, j)
-            se = math.sqrt(freq * (1.0 - freq) / config.R)
-            ok = freq <= bound + CONCENTRATION_SE_MULTIPLIER * se
-            passed = passed and ok
-            rows.append(
-                {"n": n, "j": j, "frequency": freq, "bound": bound, "se": se, "passed": ok}
-            )
-    return ConcentrationReport(config=config, R=config.R, rows=rows, passed=passed)
+    for j in range(config.J + 1):
+        freq = float(np.mean(deviated[:, j]))
+        bound = chebyshev_deviation_bound(n, j)
+        se = math.sqrt(freq * (1.0 - freq) / R)
+        ok = freq <= bound + CONCENTRATION_SE_MULTIPLIER * se
+        rows.append({"n": n, "j": j, "frequency": freq, "bound": bound, "se": se, "passed": ok})
+    passed = all(row["passed"] for row in rows)
+    return ConcentrationReport(config=config, R=R, rows=rows, passed=passed)
 
 
 @dataclass
@@ -751,7 +749,7 @@ def run_sandwich_experiment(config: ExperimentConfig) -> SandwichReport:
     _check_square_statistic(config)
     if config.J < 10:
         raise ParameterError("j_max", f"sandwich verification needs j_max >= 10 (got {config.J})")
-    stat_sq, _, in_band = _level_event_matrix(config)
+    stat_sq, in_band = _level_event_matrix(config)
     return _band_report(
         "sandwich", config, np.sqrt(stat_sq), stat_sq, in_band,
         top_levels=3, confidence=SANDWICH_CONFIDENCE,

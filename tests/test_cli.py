@@ -75,8 +75,8 @@ class TestUsageErrors:
         "settings,key",
         [
             ({"n": "abc"}, "n"),
-            ({"n_values": 5}, "n_values"),
-            ({"j_min": -1}, "j_min"),
+            ({"n": [100]}, "n"),
+            ({"j_max": -1}, "j_max"),
             ({"n": 2.7}, "n"),
         ],
         ids=["string-int", "scalar-list", "negative-level", "fractional-int"],
@@ -96,9 +96,9 @@ class TestUsageErrors:
             (["verify-sandwich", "--n", str(10**20)], None, "n"),
             # 50000 points times the default chunk of 100 replicates.
             (["verify-sandwich", "--n", "50000"], None, "n"),
-            (["verify-concentration"], {"n_values": [100, 10**20]}, "n_values"),
+            (["verify-concentration"], {"n": 10**20}, "n"),
         ],
-        ids=["simulate-n", "verify-n", "verify-n-times-chunk", "n-values"],
+        ids=["simulate-n", "verify-n", "verify-n-times-chunk", "config-n"],
     )
     def test_sample_points_cap_before_draws(self, tmp_path, capsys, argv, settings, key):
         if settings is not None:
@@ -155,6 +155,18 @@ class TestUsageErrors:
         assert run_cli("verify-all", "x\ny") == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 2 and "error: a\\nb: unknown configuration key" in err, err
+
+    @pytest.mark.parametrize("command", ["verify-concentration", "verify-all"])
+    def test_ignored_process_rejected(self, tmp_path, capsys, command):
+        # Concentration grades the step process only, and verify-all sets
+        # each experiment's process itself.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"process": "empirical-continuous"}))
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: process: ") and err.count("\n") == 1, err
+        assert not out.exists() or not list(out.iterdir())
 
     def test_simulate_bm_has_no_sample_size(self, tmp_path, capsys):
         code = run_cli("simulate-bm", "--n", "5", "--out", str(tmp_path / "p.json"))
@@ -233,7 +245,7 @@ class TestSimulate:
 class TestConfigSchema:
     def test_report_config_rebuilds_config(self, tmp_path, capsys):
         settings = tmp_path / "settings.json"
-        settings.write_text(json.dumps({"n_values": [20, 40], "j_min": 3, "p": 2}))
+        settings.write_text(json.dumps({"n": 20, "p": 2, "coverage_threshold": 1}))
         argv = [
             "verify-concentration", "--seed", "9", "--j-max", "8",
             "--replicates", "100", "--config", str(settings),
@@ -254,7 +266,8 @@ class TestConfigSchema:
         assert set(montecarlo.config_schema()) == report_keys | {"workers", "chunk_size"}
 
 
-#: Former ``ExperimentConfig`` fields, now constants, with their last default.
+#: Former ``ExperimentConfig`` fields, now constants or gone, with their
+#: last default.
 RETIRED_SETTINGS = {
     "alpha": 0.5,
     "sandwich_confidence": 0.95,
@@ -263,6 +276,8 @@ RETIRED_SETTINGS = {
     "coverage_max_level": 8,
     "oracle_se_multiplier": 4.0,
     "concentration_se_multiplier": 3.0,
+    "n_values": [],
+    "j_min": 0,
 }
 
 
@@ -305,6 +320,22 @@ def test_readme_lists_verify_flags():
         assert flags == documented, command
 
 
+def test_readme_lists_config_keys():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        match = re.search(r"The (\d+) config keys are ([^.]*)\.", fh.read())
+    assert match, "README lost its sentence listing the config keys"
+    documented = re.findall(r"`([a-z_]+)`", match.group(2))
+    assert int(match.group(1)) == len(documented)
+    assert documented == list(montecarlo.config_schema())
+
+
+def test_config_schema_types_are_scalars():
+    # ``cli._config_value`` checks strings, integers and finite numbers only.
+    for key, (_, kind) in montecarlo.config_schema().items():
+        assert kind in (str, int, float), key
+
+
 def test_package_exports_resolve():
     for name in besov_empirica.__all__:
         assert getattr(besov_empirica, name) is not None, name
@@ -326,12 +357,12 @@ class TestPlotData:
         assert len(read_report_csv(out)) == 15
 
     def test_concentration_rows_and_bound_column(self, tmp_path):
-        cfg = ExperimentConfig(n=100, J=12, R=200, seed=5, j_min=4)
+        cfg = ExperimentConfig(n=100, J=12, R=200, seed=5)
         report = run_concentration_experiment(cfg)
         out = tmp_path / "conc.csv"
         emit_plot_data(report, out)
         rows = read_report_csv(out)
-        assert len(rows) == 9
+        assert len(rows) == 13
         for row in rows:
             n, j = int(row["n"]), int(row["j"])
             assert float(row["bound"]) == 4.0 * 2.0**-j * (3.0 - 3.0 / n)
@@ -528,7 +559,7 @@ def tree_digest(directory) -> str:
 #: Digest of ``verify-all --seed 42 --workers 1 --replicates 200 --j-max 10``
 #: (recorded with numpy 2.4).  A change that moves any report byte must
 #: update it on purpose and say why in CHANGES.md.
-GOLDEN_VERIFY_ALL_SHA256 = "805e4a78fb2908ea0edbc712b942f166637be409594af5f07566a8d73dde4639"
+GOLDEN_VERIFY_ALL_SHA256 = "e30932d09ec6f1303b35d04079f8b130f33cf840984d7835ade6c49866aa219d"
 
 
 class TestWorkerPool:

@@ -44,10 +44,10 @@ class TestConfigValidation:
             ({"seed": -1}, "seed"),
             ({"p": 0.5}, "p"),
             ({"n": 50_000}, "n"),
-            ({"n_values": (100, 50_000)}, "n_values"),
-            ({"j_min": 15}, "j_min"),
+            ({"roynette_band_halfwidth": 0.0}, "roynette_band_halfwidth"),
+            ({"coverage_threshold": 1.5}, "coverage_threshold"),
             ({"workers": 0}, "workers"),
-            ({"n_values": (1,)}, "n_values"),
+            ({"chunk_size": 0}, "chunk_size"),
         ],
     )
     def test_rejections(self, kwargs, key):
@@ -59,7 +59,6 @@ class TestConfigValidation:
         # 50000 points times 80 replicates fit under MAX_CHUNK_POINTS; times
         # the default chunk of 100 they do not (see test_rejections).
         ExperimentConfig(n=50_000, chunk_size=80)
-        ExperimentConfig(n_values=(50_000,), chunk_size=80)
 
 
 class TestAggregate:
@@ -228,16 +227,14 @@ class TestMoments:
 
 class TestConcentration:
     def test_rows_and_bound_formula(self):
-        cfg = ExperimentConfig(
-            n=100, J=12, R=400, seed=SEED, n_values=(10, 100), j_min=4
-        )
-        report = run_concentration_experiment(cfg)
-        assert len(report.rows) == 2 * 9
-        for row in report.rows:
-            expected = 4.0 * (3.0 - 3.0 / row["n"]) / (1 << row["j"])
-            assert row["bound"] == expected
-            assert 0.0 <= row["frequency"] <= 1.0
-        assert report.passed
+        for n in (10, 100):
+            report = run_concentration_experiment(ExperimentConfig(n=n, J=12, R=400, seed=SEED))
+            assert [(row["n"], row["j"]) for row in report.rows] == [(n, j) for j in range(13)]
+            for row in report.rows:
+                expected = 4.0 * (3.0 - 3.0 / n) / (1 << row["j"])
+                assert row["bound"] == expected
+                assert 0.0 <= row["frequency"] <= 1.0
+            assert report.passed
 
     def test_bound_decreases_geometrically(self):
         bounds = [chebyshev_deviation_bound(100, j) for j in range(4, 13)]
