@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 from . import besov, dyadic, empirical, gaussian, montecarlo
 from .errors import BesovEmpiricaError, ParameterError
@@ -45,10 +44,10 @@ def _load_config_file(path) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise ParameterError("config", f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParameterError("config", f"config file is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
+        raise ParameterError("config", f"cannot read config file: {exc}") from exc
     if not isinstance(data, dict):
         raise ParameterError("config", "config file must hold a JSON object")
     return data
@@ -75,14 +74,18 @@ def _config_value(key: str, value, kind):
     return float(value) if kind is float else value
 
 
-def _experiment_config(args, defaults: dict | None = None) -> montecarlo.ExperimentConfig:
-    """Merge command defaults, config-file settings, and flags (flags win).
+def _experiment_config(args, kind: str | None = None) -> montecarlo.ExperimentConfig:
+    """Merge config-file settings and flags (flags win).
 
     Config keys and flag destinations are the keys of the report ``config``
     block plus the run-only fields, all from ``montecarlo.config_schema``.
+    The process of experiment ``kind`` defaults to the first one
+    ``montecarlo.EXPERIMENTS`` lists for it.
     """
     schema = montecarlo.config_schema()
-    settings = dict(defaults or {})
+    settings = {}
+    if kind in montecarlo.EXPERIMENTS:
+        settings["process"] = montecarlo.EXPERIMENTS[kind][0][0]
     if getattr(args, "config", None):
         for key, value in _load_config_file(args.config).items():
             if key not in schema:
@@ -272,38 +275,29 @@ def _run_and_emit(kind: str, cfg: montecarlo.ExperimentConfig, out_dir: str):
 
 
 def _cmd_verify(kind: str, args) -> int:
-    defaults = {"process": "brownian"} if kind == "roynette" else {}
-    cfg = _experiment_config(args, defaults)
-    out_dir = _out_dir(args)
-    report = _run_and_emit(kind, cfg, out_dir)
-    status = "PASS" if report.passed else "FAIL"
-    print(f"verify-{kind}: {status}")
-    return 0 if report.passed else 2
-
-
-def _cmd_verify_all(args) -> int:
-    cfg = _experiment_config(args)
-    if cfg.process != "empirical-step":
-        raise ParameterError(
-            "process", f"verify-all sets the process of each experiment (got {cfg.process!r})"
-        )
+    """Run ``verify-<kind>``; ``verify-all`` runs every experiment at the
+    settings it reads, with defaults for the rest.  Each runner checks its
+    settings against ``montecarlo.EXPERIMENTS`` before any draw."""
+    cfg = _experiment_config(args, kind)
+    configs = {kind: cfg}
+    if kind == "all":
+        montecarlo.check_settings(cfg, "all")
+        configs = {}
+        for name, (processes, reads) in montecarlo.EXPERIMENTS.items():
+            kept = {field: getattr(cfg, field) for field in reads + montecarlo.RUN_ONLY_FIELDS}
+            if name == "roynette":
+                kept["J"] = max(cfg.J, ROYNETTE_SUITE_LEVEL)
+            configs[name] = montecarlo.ExperimentConfig(process=processes[0], **kept)
     out_dir = _out_dir(args)
     results = {}
-    step_cfg = replace(cfg, process="empirical-step", p=2.0)
-    for kind in ("moments", "concentration", "sandwich"):
-        report = _run_and_emit(kind, step_cfg, out_dir)
-        results[kind] = report.passed
-        print(f"verify-{kind}: {'PASS' if report.passed else 'FAIL'}")
-    gauss_cfg = replace(cfg, process="brownian", J=max(cfg.J, ROYNETTE_SUITE_LEVEL))
-    report = _run_and_emit("roynette", gauss_cfg, out_dir)
-    results["roynette"] = report.passed
-    print(f"verify-roynette: {'PASS' if report.passed else 'FAIL'}")
+    for name, run_cfg in configs.items():
+        results[name] = _run_and_emit(name, run_cfg, out_dir).passed
+        print(f"verify-{name}: {'PASS' if results[name] else 'FAIL'}")
     passed = all(results.values())
-    _write_json(
-        os.path.join(out_dir, "summary.json"),
-        {"passed": passed, "components": results, "seed": cfg.seed},
-    )
-    print(f"verify-all: {'PASS' if passed else 'FAIL'}")
+    if kind == "all":
+        summary = {"passed": passed, "components": results, "seed": cfg.seed}
+        _write_json(os.path.join(out_dir, "summary.json"), summary)
+        print(f"verify-all: {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 2
 
 
@@ -354,14 +348,11 @@ def build_parser() -> _Parser:
     sub.add_argument("--out", default=None, help="write a JSON summary here")
     sub.set_defaults(handler=_cmd_norm, p=2.0, alpha=0.5)
 
-    for kind in ("moments", "concentration", "sandwich", "roynette"):
-        sub = subs.add_parser(f"verify-{kind}")
+    for kind in (*montecarlo.EXPERIMENTS, "all"):
+        what = "the default verification suite" if kind == "all" else f"the {kind} experiment"
+        sub = subs.add_parser(f"verify-{kind}", help=f"run {what}")
         _add_common_flags(sub)
         sub.set_defaults(handler=lambda args, kind=kind: _cmd_verify(kind, args))
-
-    sub = subs.add_parser("verify-all", help="run the default verification suite")
-    _add_common_flags(sub)
-    sub.set_defaults(handler=_cmd_verify_all)
     return parser
 
 

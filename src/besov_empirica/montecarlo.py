@@ -67,8 +67,10 @@ ORACLE_LEVEL_CAP = 3
 ORACLE_SE_MULTIPLIER = 4.0
 #: A cell's mean ``G`` covers 1 within this many standard errors ...
 COVERAGE_SE_MULTIPLIER = 3.0
-#: ... counted at levels ``0..COVERAGE_MAX_LEVEL``.
+#: ... counted at levels ``0..COVERAGE_MAX_LEVEL`` ...
 COVERAGE_MAX_LEVEL = 8
+#: ... in at least this share of the cells.
+COVERAGE_THRESHOLD = 0.99
 #: A deviation frequency passes up to the bound plus this many standard errors.
 CONCENTRATION_SE_MULTIPLIER = 3.0
 #: In-band frequency the top three sandwich levels must reach.
@@ -78,6 +80,14 @@ ROYNETTE_CONFIDENCE = 0.99
 
 #: int64 safety for sums of H**2 (worst case n**4 per level).
 MAX_MOMENT_SAMPLE = 20_000
+
+#: Most bytes a moments run may hold, estimated before any draw: about 400
+#: bytes a cell for the report's six floats a cell in lists, 24 bytes a cell
+#: for each chunk's three per-cell sums (all chunks are held until they are
+#: summed), and 48 bytes a replicate and level for the level sums and their
+#: statistics.  That estimate plus 37 MiB of interpreter came within -2% to
+#: +15% of measured peaks (J = 16..19 at 1 to 20 chunks, J = 12 at 1000).
+MAX_MOMENT_BYTES = 1 << 30
 
 #: Largest max level any run accepts: the Gaussian synthesis cap, which also
 #: keeps the empirical half-cell arrays (``2**(J+1)`` entries) desk-scale.
@@ -95,6 +105,16 @@ CONFIG_KEYS = {"J": "j_max", "R": "replicates"}
 #: Fields that set how a run executes, never what it computes; reports
 #: leave them out.
 RUN_ONLY_FIELDS = ("workers", "chunk_size")
+
+#: Experiment -> (the processes it runs on, the first being its default; the
+#: other fields it reads).  ``check_settings`` rejects any further field that
+#: is not at its default, apart from the run-only ones.
+EXPERIMENTS = {
+    "moments": (("empirical-step",), ("n", "J", "R", "seed")),
+    "concentration": (("empirical-step",), ("n", "J", "R", "seed")),
+    "sandwich": (("empirical-step", "empirical-continuous"), ("n", "J", "R", "seed")),
+    "roynette": (("brownian", "bridge"), ("J", "R", "p", "seed", "roynette_band_halfwidth")),
+}
 
 
 def check_max_level(J: int) -> None:
@@ -129,7 +149,6 @@ class ExperimentConfig:
     p: float = 2.0
     seed: int = 42
     roynette_band_halfwidth: float = 0.1
-    coverage_threshold: float = 0.99
     workers: int = 1
     chunk_size: int = 100
 
@@ -138,7 +157,8 @@ class ExperimentConfig:
             raise ParameterError("process", f"must be one of {PROCESSES} (got {self.process!r})")
         if self.n < 2:
             raise ParameterError("n", f"must be >= 2 (got {self.n})")
-        check_sample_points(self.n, self.chunk_size)
+        if self.process.startswith("empirical-"):  # Gaussian runs draw no sample points.
+            check_sample_points(self.n, self.chunk_size)
         if self.J < 6:
             raise ParameterError("j_max", f"must be >= 6 (got {self.J})")
         check_max_level(self.J)
@@ -149,8 +169,6 @@ class ExperimentConfig:
         BesovParams(p=self.p, alpha=0.5)
         if self.roynette_band_halfwidth <= 0.0:
             raise ParameterError("roynette_band_halfwidth", "must be positive")
-        if not 0.0 < self.coverage_threshold <= 1.0:
-            raise ParameterError("coverage_threshold", "must lie in (0, 1]")
         if self.workers < 1:
             raise ParameterError("workers", f"must be >= 1 (got {self.workers})")
         if self.chunk_size < 1:
@@ -173,14 +191,22 @@ def config_schema() -> dict:
     }
 
 
-def _check_square_statistic(config: ExperimentConfig) -> None:
-    """Reject a ``p`` an empirical experiment would ignore.
+def check_settings(config: ExperimentConfig, kind: str) -> None:
+    """Reject, before any draw, a setting that ``verify-<kind>`` ignores.
 
-    The moment, concentration and sandwich experiments study the squared
-    level statistic, i.e. ``p = 2`` only.
+    ``kind`` is an ``EXPERIMENTS`` key, or ``"all"``: the suite reads what
+    its experiments read and sets each one's process itself.
     """
-    if config.p != 2.0:
-        raise ParameterError("p", f"this experiment uses p = 2 only (got {config.p})")
+    suite = tuple(name for _, names in EXPERIMENTS.values() for name in names)
+    processes, reads = EXPERIMENTS.get(kind, ((ExperimentConfig.process,), suite))
+    for f in fields(config):
+        value = getattr(config, f.name)
+        accepted = processes if f.name == "process" else (f.default,)
+        if f.name not in reads + RUN_ONLY_FIELDS and value not in accepted:
+            raise ParameterError(
+                CONFIG_KEYS.get(f.name, f.name),
+                f"must be {' or '.join(map(repr, accepted))} for verify-{kind} (got {value!r})",
+            )
 
 
 def chebyshev_deviation_bound(n: int, j: int) -> float:
@@ -443,17 +469,22 @@ class MomentReport:
 
 def run_moment_experiment(config: ExperimentConfig) -> MomentReport:
     """Estimate every tracked moment of the step-process coefficients."""
-    _check_square_statistic(config)
-    if config.process != "empirical-step":
-        raise ParameterError(
-            "process", "moment verification is defined for the empirical-step process"
-        )
+    check_settings(config, "moments")
     if config.n > MAX_MOMENT_SAMPLE:
         raise ParameterError("n", f"moment experiment caps n at {MAX_MOMENT_SAMPLE}")
     # int64 per-cell sums over all replicates: |sum S| <= R*n and sum H <= R*n**2.
     if config.R * config.n**2 >= 1 << 63:
         raise ParameterError(
             "replicates", f"replicates * n**2 must stay below 2**63 (got {config.R} at n={config.n})"
+        )
+    cells, chunks = 1 << (config.J + 1), -(-config.R // config.chunk_size)
+    level_bytes = 48 * config.R * (config.J + 1)
+    held = cells * (400 + 24 * chunks) + level_bytes
+    if held > MAX_MOMENT_BYTES:
+        raise ParameterError(
+            "replicates" if 2 * level_bytes > held else "j_max",
+            f"the moments run would hold about {held >> 20} MiB, over its {MAX_MOMENT_BYTES >> 20}"
+            f" MiB cap (j_max {config.J}, replicates {config.R}, chunk_size {config.chunk_size})",
         )
     parts = run_chunked("moment", config)
     data = aggregate(parts, config.R, _MOMENT_REDUCERS)
@@ -579,9 +610,9 @@ def run_moment_experiment(config: ExperimentConfig) -> MomentReport:
         "cells": total,
         "max_level": max_level,
         "se_multiplier": COVERAGE_SE_MULTIPLIER,
-        "threshold": config.coverage_threshold,
+        "threshold": COVERAGE_THRESHOLD,
     }
-    passed = coverage["fraction"] >= config.coverage_threshold and oracle_ok
+    passed = coverage["fraction"] >= COVERAGE_THRESHOLD and oracle_ok
     return MomentReport(
         config=config,
         R=R,
@@ -626,11 +657,9 @@ def _level_event_matrix(cfg: ExperimentConfig):
     if cfg.process == "empirical-step":
         sh = _step_level_sums(cfg)
         return sh / cfg.n, (2 * sh >= cfg.n) & (2 * sh <= 3 * cfg.n)
-    if cfg.process == "empirical-continuous":
-        parts = run_chunked("continuous_levels", cfg)
-        stat_sq = aggregate(parts, cfg.R, {"stat_sq": "stack"})["stat_sq"]
-        return stat_sq, (stat_sq >= 0.5) & (stat_sq <= 1.5)
-    raise ParameterError("process", "this experiment needs an empirical process")
+    parts = run_chunked("continuous_levels", cfg)
+    stat_sq = aggregate(parts, cfg.R, {"stat_sq": "stack"})["stat_sq"]
+    return stat_sq, (stat_sq >= 0.5) & (stat_sq <= 1.5)
 
 
 def run_concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
@@ -642,11 +671,7 @@ def run_concentration_experiment(config: ExperimentConfig) -> ConcentrationRepor
     sample sizes, run it once per ``n``: the streams depend only on the seed
     and the replicate index.
     """
-    _check_square_statistic(config)
-    if config.process != "empirical-step":
-        raise ParameterError(
-            "process", "concentration verification is defined for the empirical-step process"
-        )
+    check_settings(config, "concentration")
     n, R = config.n, config.R
     sh = _step_level_sums(config)
     deviated = (2 * sh <= n) | (2 * sh >= 3 * n)
@@ -746,7 +771,7 @@ def run_sandwich_experiment(config: ExperimentConfig) -> SandwichReport:
     the (unsquared) level statistic back the finite-norm and
     nonvanishing-tail surrogates.
     """
-    _check_square_statistic(config)
+    check_settings(config, "sandwich")
     if config.J < 10:
         raise ParameterError("j_max", f"sandwich verification needs j_max >= 10 (got {config.J})")
     stat_sq, in_band = _level_event_matrix(config)
@@ -772,8 +797,7 @@ def run_roynette_experiment(config: ExperimentConfig) -> SandwichReport:
     Bridge and motion share level coefficients, so their reports carry
     identical results for equal seeds.
     """
-    if config.process not in ("brownian", "bridge"):
-        raise ParameterError("process", "this experiment needs a Gaussian process")
+    check_settings(config, "roynette")
     parts = run_chunked("roynette", config)
     stat = aggregate(parts, config.R, {"stat": "stack"})["stat"]
     target = absolute_moment_target(config.p)

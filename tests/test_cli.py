@@ -89,6 +89,15 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith(f"error: {key}: ") and err.count("\n") == 1, err
 
+    def test_unreadable_config_names_key(self, tmp_path, capsys):
+        # Bytes that are not UTF-8, and a path no file system accepts.
+        binary = tmp_path / "cfg.json"
+        binary.write_bytes(b"\xff\xfe{")
+        for path in (str(binary), "cfg\x00.json"):
+            assert run_cli("verify-moments", "--config", path, "--out", str(tmp_path / "o")) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: config: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize(
         "argv,settings,key",
         [
@@ -168,6 +177,35 @@ class TestUsageErrors:
         assert err.startswith("error: process: ") and err.count("\n") == 1, err
         assert not out.exists() or not list(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv,settings,key",
+        [
+            (["verify-moments"], {"roynette_band_halfwidth": 0.2}, "roynette_band_halfwidth"),
+            (["verify-concentration"], {"roynette_band_halfwidth": 0.2}, "roynette_band_halfwidth"),
+            (["verify-sandwich"], {"roynette_band_halfwidth": 0.2}, "roynette_band_halfwidth"),
+            (["verify-roynette", "--n", "7"], None, "n"),
+        ],
+        ids=["moments-halfwidth", "concentration-halfwidth", "sandwich-halfwidth", "roynette-n"],
+    )
+    def test_unread_setting_rejected(self, tmp_path, capsys, argv, settings, key):
+        if settings is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(settings))
+            argv = argv + ["--config", str(cfg)]
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1, err
+        assert not list(out.iterdir())
+
+    def test_moments_memory_cap_before_draws(self, tmp_path, capsys):
+        # 2**24 cells: the report and the held chunk sums would need ~14 GiB.
+        out = tmp_path / "o"
+        assert run_cli("verify-moments", "--j-max", "23", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: j_max: ") and err.count("\n") == 1, err
+        assert not list(out.iterdir())
+
     def test_simulate_bm_has_no_sample_size(self, tmp_path, capsys):
         code = run_cli("simulate-bm", "--n", "5", "--out", str(tmp_path / "p.json"))
         assert code == 1
@@ -245,7 +283,7 @@ class TestSimulate:
 class TestConfigSchema:
     def test_report_config_rebuilds_config(self, tmp_path, capsys):
         settings = tmp_path / "settings.json"
-        settings.write_text(json.dumps({"n": 20, "p": 2, "coverage_threshold": 1}))
+        settings.write_text(json.dumps({"n": 20, "p": 2}))
         argv = [
             "verify-concentration", "--seed", "9", "--j-max", "8",
             "--replicates", "100", "--config", str(settings),
@@ -278,6 +316,7 @@ RETIRED_SETTINGS = {
     "concentration_se_multiplier": 3.0,
     "n_values": [],
     "j_min": 0,
+    "coverage_threshold": 0.99,
 }
 
 
@@ -328,6 +367,32 @@ def test_readme_lists_config_keys():
     documented = re.findall(r"`([a-z_]+)`", match.group(2))
     assert int(match.group(1)) == len(documented)
     assert documented == list(montecarlo.config_schema())
+
+
+def test_readme_lists_settings_each_command_reads():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        lines = re.findall(r"^- `verify-([a-z]+)`(?: on ([^:]*))?: (.*)$", fh.read(), re.M)
+    documented = {
+        kind: (tuple(re.findall(r"`([a-z-]+)`", on)), re.findall(r"`([a-z_]+)`", reads))
+        for kind, on, reads in lines
+    }
+    key = lambda field: montecarlo.CONFIG_KEYS.get(field, field)
+    expected = {
+        kind: (processes, [key(field) for field in reads])
+        for kind, (processes, reads) in montecarlo.EXPERIMENTS.items()
+    }
+    suite = dict.fromkeys(key(field) for _, reads in montecarlo.EXPERIMENTS.values() for field in reads)
+    expected["all"] = ((), list(suite))
+    assert documented == expected
+
+
+def test_every_setting_is_read_by_some_experiment():
+    # A field no experiment reads would be accepted by verify-all and read
+    # nowhere.
+    read = {field for _, reads in montecarlo.EXPERIMENTS.values() for field in reads}
+    for key, (field, _) in montecarlo.config_schema().items():
+        assert field in read | {"process", *montecarlo.RUN_ONLY_FIELDS}, key
 
 
 def test_config_schema_types_are_scalars():
@@ -446,29 +511,22 @@ class TestVerifyCommands:
 
 
 class TestDeterminism:
-    @pytest.fixture
-    def relaxed_cfg(self, tmp_path):
-        # The coverage gate assumes CLT-scale replicate counts; relax it for
-        # the small runs that only exercise determinism and schemas.
-        cfg = tmp_path / "relaxed.json"
-        cfg.write_text(json.dumps({"coverage_threshold": 0.9}))
-        return str(cfg)
-
-    def test_repeat_run_identical_tree(self, tmp_path, capsys, relaxed_cfg):
+    # At n=40, J=10 and seed 42 the moments coverage rule passes from about
+    # 300 replicates on (0.986 at 120, 0.998 at 300).
+    def test_repeat_run_identical_tree(self, tmp_path, capsys):
         args = (
-            "verify-all", "--seed", "42", "--n", "40", "--j-max", "10",
-            "--replicates", "120", "--config", relaxed_cfg,
+            "verify-all", "--seed", "42", "--n", "40", "--j-max", "10", "--replicates", "300",
         )
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_cli(*args, "--out", str(out1)) == 0
         assert run_cli(*args, "--out", str(out2)) == 0
         assert_trees_identical(out1, out2)
 
-    def test_verify_all_outputs(self, tmp_path, capsys, relaxed_cfg):
+    def test_verify_all_outputs(self, tmp_path, capsys):
         out = tmp_path / "suite"
         code = run_cli(
             "verify-all", "--seed", "42", "--n", "40", "--j-max", "10",
-            "--replicates", "120", "--config", relaxed_cfg, "--out", str(out),
+            "--replicates", "300", "--out", str(out),
         )
         assert code == 0
         names = sorted(os.listdir(out))
@@ -490,16 +548,26 @@ class TestDeterminism:
             "moments", "concentration", "sandwich", "roynette",
         }
 
-    def test_verify_all_pins_step_exponents(self, tmp_path, capsys, relaxed_cfg):
+    def test_verify_all_pins_step_exponents(self, tmp_path, capsys):
+        # Each experiment reads its own settings and runs at defaults for the
+        # rest: p and the halfwidth reach the Gaussian run only, n the step runs.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"roynette_band_halfwidth": 0.05}))
         out = tmp_path / "suite"
         code = run_cli(
             "verify-all", "--seed", "42", "--n", "40", "--j-max", "10", "--p", "4",
-            "--replicates", "120", "--config", relaxed_cfg, "--out", str(out),
+            "--replicates", "300", "--config", str(cfg), "--out", str(out),
         )
         assert code in (0, 2), capsys.readouterr().err
-        for kind, p in [("moments", 2.0), ("concentration", 2.0), ("sandwich", 2.0), ("roynette", 4.0)]:
+        for kind, p, halfwidth, n in [
+            ("moments", 2.0, 0.1, 40),
+            ("concentration", 2.0, 0.1, 40),
+            ("sandwich", 2.0, 0.1, 40),
+            ("roynette", 4.0, 0.05, 100),
+        ]:
             config = json.loads((out / f"{kind}.json").read_text())["config"]
-            assert config["p"] == p and "alpha" not in config, kind
+            assert (config["p"], config["roynette_band_halfwidth"], config["n"]) == (p, halfwidth, n)
+            assert "alpha" not in config and "coverage_threshold" not in config, kind
 
 
 _JSON_SCALARS = (
@@ -547,6 +615,58 @@ class TestConfigFuzz:
             )
 
 
+#: A command-line token: numbers of any size and sign, non-numeric text and
+#: line breaks.  Tokens that would ask for ``--help`` are left out, since
+#: argparse answers them with a help page, not a diagnostic.
+_ARGV_TOKENS = (
+    st.integers(-(10**30), 10**30).map(str)
+    | st.floats().map(repr)
+    | st.sampled_from(["", "0", "-1", "23", "24", "1e400", "nan", "\n", "4\n2"])
+    | st.text(max_size=8)
+).filter(lambda token: not token.startswith(("-h", "--h")))
+_VERIFY_FLAGS = ["--seed", "--n", "--j-max", "--replicates", "--p", "--config", "--workers"]
+#: A flag and its value: an integer of any size and sign, which every flag
+#: parses, or for ``--p`` any float, ``nan`` and ``inf`` included (argparse
+#: reads ``-1.5e-07`` as a flag, so negative floats are left to the strays).
+_FLAG_PAIRS = st.tuples(
+    st.sampled_from(_VERIFY_FLAGS),
+    st.integers(-5, 3000).map(str) | st.integers(-(10**30), 10**30).map(str),
+) | st.tuples(st.just("--p"), st.floats(min_value=0.0).map(repr))
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300)
+    @given(
+        command=st.sampled_from(VERIFY_COMMANDS),
+        pairs=st.lists(_FLAG_PAIRS, max_size=3),
+        stray=st.none() | st.tuples(st.integers(0, 10), _ARGV_TOKENS),
+    )
+    def test_argv_gives_config_or_one_line_error(self, command, pairs, stray):
+        tokens = [token for pair in pairs for token in pair]
+        if stray is not None:
+            tokens.insert(*stray)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "o")
+            argv = [command, *tokens, "--out", out]
+            try:
+                args = cli.build_parser().parse_args(argv)
+                kind = command.removeprefix("verify-")
+                montecarlo.check_settings(cli._experiment_config(args, kind), kind)
+            except (cli.UsageError, ParameterError):
+                pass
+            else:
+                # Valid settings may ask for any amount of work; run none.
+                return
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code == 1
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (
+                err.getvalue()
+            )
+            assert not os.path.exists(out) or not os.listdir(out)
+
+
 def tree_digest(directory) -> str:
     """sha256 over the sorted file names and contents of a report tree."""
     digest = hashlib.sha256()
@@ -559,7 +679,7 @@ def tree_digest(directory) -> str:
 #: Digest of ``verify-all --seed 42 --workers 1 --replicates 200 --j-max 10``
 #: (recorded with numpy 2.4).  A change that moves any report byte must
 #: update it on purpose and say why in CHANGES.md.
-GOLDEN_VERIFY_ALL_SHA256 = "e30932d09ec6f1303b35d04079f8b130f33cf840984d7835ade6c49866aa219d"
+GOLDEN_VERIFY_ALL_SHA256 = "335b7aaf26eec1157c0bddfc87122584864a0d25e0781bbf132c3d165c9408db"
 
 
 class TestWorkerPool:
@@ -574,12 +694,9 @@ class TestWorkerPool:
             return real_pool(*args, **kwargs)
 
         monkeypatch.setattr(spawn, "Pool", spy)
-        cfg = tmp_path / "relaxed.json"
-        cfg.write_text(json.dumps({"coverage_threshold": 0.9}))
         code = run_cli(
             "verify-all", "--seed", "42", "--n", "40", "--j-max", "10",
-            "--replicates", "120", "--workers", "2", "--config", str(cfg),
-            "--out", str(tmp_path / "suite"),
+            "--replicates", "300", "--workers", "2", "--out", str(tmp_path / "suite"),
         )
         assert code == 0
         assert started == [2]

@@ -1,17 +1,22 @@
 import json
 import math
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besov_empirica import montecarlo
 from besov_empirica.besov import BesovParams, level_statistic
 from besov_empirica.empirical import halfcell_counts, signed_sums_by_level
 from besov_empirica.errors import AggregationError, ParameterError
 from besov_empirica.montecarlo import (
+    CONFIG_KEYS,
+    EXPERIMENTS,
+    PROCESSES,
+    RUN_ONLY_FIELDS,
     ChunkResult,
     ExperimentConfig,
     _roynette_chunk,
@@ -45,7 +50,7 @@ class TestConfigValidation:
             ({"p": 0.5}, "p"),
             ({"n": 50_000}, "n"),
             ({"roynette_band_halfwidth": 0.0}, "roynette_band_halfwidth"),
-            ({"coverage_threshold": 1.5}, "coverage_threshold"),
+            ({"J": 24}, "j_max"),
             ({"workers": 0}, "workers"),
             ({"chunk_size": 0}, "chunk_size"),
         ],
@@ -59,6 +64,46 @@ class TestConfigValidation:
         # 50000 points times 80 replicates fit under MAX_CHUNK_POINTS; times
         # the default chunk of 100 they do not (see test_rejections).
         ExperimentConfig(n=50_000, chunk_size=80)
+        # A Gaussian run stacks no sample points, so n does not bound its chunk.
+        ExperimentConfig(process="brownian", chunk_size=50_000)
+
+
+_RUNNERS = {
+    "moments": run_moment_experiment,
+    "concentration": run_concentration_experiment,
+    "sandwich": run_sandwich_experiment,
+    "roynette": run_roynette_experiment,
+}
+
+#: A valid value other than the default for every field an experiment may
+#: leave unread.
+_OTHER_VALUES = {"n": 7, "p": 4.0, "roynette_band_halfwidth": 0.2}
+
+#: (experiment, field) for every field outside the experiment's table entry.
+_UNREAD = [
+    (kind, f.name)
+    for kind, (_, reads) in EXPERIMENTS.items()
+    for f in fields(ExperimentConfig)
+    if f.name not in reads + RUN_ONLY_FIELDS
+]
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("kind,field", _UNREAD, ids=[f"{k}-{f}" for k, f in _UNREAD])
+    def test_runner_rejects_unread_setting_before_any_draw(self, monkeypatch, kind, field):
+        def no_draws(name, cfg):
+            raise AssertionError("drew replicates")
+
+        monkeypatch.setattr(montecarlo, "run_chunked", no_draws)
+        processes, _ = EXPERIMENTS[kind]
+        cfg = ExperimentConfig(process=processes[0], J=10, R=100)
+        if field == "process":
+            cfg = replace(cfg, process=next(p for p in PROCESSES if p not in processes))
+        else:
+            cfg = replace(cfg, **{field: _OTHER_VALUES[field]})
+        with pytest.raises(ParameterError) as err:
+            _RUNNERS[kind](cfg)
+        assert err.value.key == CONFIG_KEYS.get(field, field)
 
 
 class TestAggregate:
