@@ -288,6 +288,8 @@ def _cmd_verify(kind: str, args) -> int:
             if name == "roynette":
                 kept["J"] = max(cfg.J, ROYNETTE_SUITE_LEVEL)
             configs[name] = montecarlo.ExperimentConfig(process=processes[0], **kept)
+            # Every run's memory bound is checked before the first one starts.
+            montecarlo.check_held_bytes(configs[name], name)
     out_dir = _out_dir(args)
     results = {}
     for name, run_cfg in configs.items():

@@ -1,8 +1,8 @@
 """Monte Carlo experiments over replicated processes, with deterministic
 chunked aggregation and exact-oracle cross checks.
 
-A replicate is one fresh sample (or synthesized path) and its full
-coefficient triangle; replicates are independent work units addressed by
+A replicate is one fresh sample (or synthesized path) and its level
+statistics; replicates are independent work units addressed by
 ``stream_index``, grouped into fixed-size chunks whose boundaries depend
 only on the replicate count.  Partial results are reduced strictly in
 chunk order, so the output is bit-identical no matter how many worker
@@ -16,6 +16,12 @@ sums of ``S`` and ``H``; per-cell sums of ``H**2`` are float64, exact below
 are applied when the report is built.  All band and deviation events
 reduce to integer comparisons on the per-level score sums
 (``2*sum_h <= n`` etc.), so event counts carry no rounding at all.
+
+The continuous-version kernel is batched the same way.  Its coefficients
+are second differences of a piecewise-linear CDF, nonzero only on cells
+holding one of its ``n - 1`` knots, so each level costs O(n) per replicate
+instead of the ``2**(J+1)``-point grid of ``empirical_coefficients``, which
+stays the dense reference.
 
 The Gaussian kernel reads level statistics straight from the synthesis
 draws, which are the path's level coefficients: it rebuilds no path and
@@ -43,7 +49,8 @@ import numpy as np
 # perfbench/tracing.py wraps them as this module's attributes.
 from .besov import BesovParams, level_statistic, tail_window_start
 # ``halfcell_counts`` and ``signed_sums_by_level`` are the per-replicate
-# reference for the batched step kernel; they stay importable from here
+# reference for the batched step kernel, and ``empirical_coefficients`` the
+# dense reference for the continuous kernel; they stay importable from here
 # because perfbench/tracing.py wraps them as this module's attributes.
 from .empirical import (
     empirical_coefficients,
@@ -81,13 +88,9 @@ ROYNETTE_CONFIDENCE = 0.99
 #: int64 safety for sums of H**2 (worst case n**4 per level).
 MAX_MOMENT_SAMPLE = 20_000
 
-#: Most bytes a moments run may hold, estimated before any draw: about 400
-#: bytes a cell for the report's six floats a cell in lists, 24 bytes a cell
-#: for each chunk's three per-cell sums (all chunks are held until they are
-#: summed), and 48 bytes a replicate and level for the level sums and their
-#: statistics.  That estimate plus 37 MiB of interpreter came within -2% to
-#: +15% of measured peaks (J = 16..19 at 1 to 20 chunks, J = 12 at 1000).
-MAX_MOMENT_BYTES = 1 << 30
+#: Most bytes a verification run may hold, estimated before any draw by
+#: ``check_held_bytes``.
+MAX_RUN_BYTES = 1 << 30
 
 #: Largest max level any run accepts: the Gaussian synthesis cap, which also
 #: keeps the empirical half-cell arrays (``2**(J+1)`` entries) desk-scale.
@@ -97,7 +100,12 @@ MAX_LEVEL = MAX_SYNTH_LEVEL - 1
 #: kernel peaks near 66 bytes per stacked point (float64 samples, int64
 #: half-cell indices and per-level temporaries, measured at n = 10**4 with
 #: 100 replicates), so 2**22 points stay near 270 MiB, well under 1 GiB.
+#: The continuous kernel also holds knots, nodes, gaps and slope jumps: 95
+#: to 125 bytes per point (n = 10**4 down to 4), so at most about 520 MiB.
 MAX_CHUNK_POINTS = 1 << 22
+
+#: Most worker processes a run may start.
+MAX_WORKERS = 64
 
 #: Config keys whose name differs from their ``ExperimentConfig`` field.
 CONFIG_KEYS = {"J": "j_max", "R": "replicates"}
@@ -171,6 +179,8 @@ class ExperimentConfig:
             raise ParameterError("roynette_band_halfwidth", "must be positive")
         if self.workers < 1:
             raise ParameterError("workers", f"must be >= 1 (got {self.workers})")
+        if self.workers > MAX_WORKERS:
+            raise ParameterError("workers", f"must be <= {MAX_WORKERS} (got {self.workers})")
         if self.chunk_size < 1:
             raise ParameterError("chunk_size", f"must be >= 1 (got {self.chunk_size})")
 
@@ -207,6 +217,40 @@ def check_settings(config: ExperimentConfig, kind: str) -> None:
                 CONFIG_KEYS.get(f.name, f.name),
                 f"must be {' or '.join(map(repr, accepted))} for verify-{kind} (got {value!r})",
             )
+
+
+def check_held_bytes(config: ExperimentConfig, kind: str) -> None:
+    """Reject, before any draw, a ``verify-<kind>`` run over ``MAX_RUN_BYTES``.
+
+    A moments run holds about 400 bytes a cell for the report's six floats a
+    cell in lists, 24 bytes a cell for each chunk's three per-cell sums (all
+    chunks are held until they are summed), and 48 bytes a replicate and
+    level for the level sums and their statistics.  That estimate plus 37 MiB
+    of interpreter came within -2% to +15% of measured peaks (J = 16..19 at 1
+    to 20 chunks, J = 12 at 1000).  The other runs hold 32 bytes a replicate
+    and level (the chunks' level matrices, their stacked copy, the statistic
+    and its events), and a band report 160 more a replicate for its four
+    per-replicate lists of floats; that overestimates measured peaks (n = 10,
+    R = 2 * 10**5, J = 10 and 20) by 30 to 90%.
+    """
+    J, R = config.J, config.R
+
+    def held_at(replicates):
+        if kind == "moments":
+            chunks = -(-replicates // config.chunk_size)
+            return (1 << (J + 1)) * (400 + 24 * chunks) + 48 * replicates * (J + 1)
+        per_replicate = 32 * (J + 1) + (0 if kind == "concentration" else 160)
+        return per_replicate * replicates
+
+    held = held_at(R)
+    if held > MAX_RUN_BYTES:
+        # Blame the replicates unless even the fewest would not fit.
+        key = "replicates" if held_at(100) <= MAX_RUN_BYTES else "j_max"
+        raise ParameterError(
+            key,
+            f"the {kind} run would hold about {held >> 20} MiB, over its {MAX_RUN_BYTES >> 20}"
+            f" MiB cap (j_max {J}, replicates {R}, chunk_size {config.chunk_size})",
+        )
 
 
 def chebyshev_deviation_bound(n: int, j: int) -> float:
@@ -385,14 +429,77 @@ _MOMENT_REDUCERS = {
 }
 
 
+#: Knots of ``k / 2**53`` draws are multiples of ``2**-54``: in these units
+#: they are exact integers.
+_KNOT_BITS = 54
+
+
 def _continuous_levels_chunk(cfg: ExperimentConfig, start: int, count: int) -> ChunkResult:
+    """Squared level statistics ``2**-j sum_k c_jk**2`` of the continuous version.
+
+    The continuous CDF ``F`` is linear between the nodes of
+    ``continuous_ecdf``: 0, the knots ``x_i = (U_i + U_{i+1}) / 2`` and 1.
+    So ``c_jk = 2**(j/2) * sqrt(n) * d`` with ``d = 2 F(mid) - F(l) - F(r)``
+    is nonzero only on cells holding a knot, and the statistic is
+    ``n * sum_k d**2``.  The chunk's knots are stacked like
+    ``_step_chunk``'s samples, and ``np.add.reduceat`` over the runs of
+    knots that share a cell gives each such cell's ``n * d``, in O(count * n)
+    per level.  On levels with fewer cells than sample points, ``n * F`` is
+    read at the cell's three points (knots below a point plus its fraction
+    of a segment); on finer ones ``n * d`` is the tent sum
+    ``-sum_i n * D_i * min(x_i - l, r - x_i)``, ``D_i`` being the slope jump
+    at ``x_i``.  Each form is used where its terms do not cancel.  Knots,
+    gaps and tent heights are exact integers in units of ``2**-54``, and
+    each run and row is summed on its own, so a replicate's statistics do
+    not depend on the rest of its chunk.
+    """
     J, n = cfg.J, cfg.n
+    samples = np.stack(
+        [
+            sample_uniform(n, SeedSpec(cfg.seed, start + i, UNIFORM_STREAM)).sorted_values
+            for i in range(count)
+        ]
+    )
+    knots = ((samples[:, :-1] + samples[:, 1:]) * float(1 << (_KNOT_BITS - 1))).astype(np.int64)
+    ends = np.zeros((count, 1), dtype=np.int64)
+    nodes = np.concatenate((ends, knots, ends + (1 << _KNOT_BITS)), axis=1)
+    gaps = np.diff(nodes, axis=1)
+    # n * D_i = 1/gap_i - 1/gap_{i-1}, with no cancellation.
+    jump = ((gaps[:, :-1] - gaps[:, 1:]) / (gaps[:, :-1] * gaps[:, 1:].astype(np.float64))).ravel()
+    nodes, gaps, fine = nodes.ravel(), gaps.ravel(), knots.ravel()
+    m = n - 1
+    row_starts = np.arange(0, count * m, m)
+    new_run = np.empty(count * m, dtype=bool)
     stat_sq = np.empty((count, J + 1))
-    for i in range(count):
-        sample = sample_uniform(n, SeedSpec(cfg.seed, start + i, UNIFORM_STREAM))
-        tri = empirical_coefficients(sample, J, source="continuous")
-        for j in range(J + 1):
-            stat_sq[i, j] = float(np.sum(tri.levels[j] ** 2)) / (1 << j)
+    for j in range(J + 1):
+        shift = _KNOT_BITS - j
+        half = 1 << (shift - 1)
+        cell = fine >> shift
+        offset = fine & ((1 << shift) - 1)
+        np.not_equal(cell[1:], cell[:-1], out=new_run[1:])
+        # Every replicate starts a run (row_starts[0] = 0 starts the first).
+        new_run[row_starts] = True
+        runs = np.flatnonzero(new_run)
+        if 1 << j < n:
+            # n * F at the cell's three points.  A run starting at within-row
+            # knot p of row r covers nodes p + 1 .. p + size; node p + i is
+            # nodes[runs + 2r + i] and the gap after it gaps[runs + r + i].
+            row = runs // m
+            size = np.diff(runs, append=count * m)
+            left = np.add.reduceat((offset < half).astype(np.int64), runs)
+            lo = cell[runs] << shift
+
+            def fraction(point, i):
+                return (point - nodes[runs + 2 * row + i]) / gaps[runs + row + i]
+
+            nd = (2 * left - size) + (
+                2.0 * fraction(lo + half, left) - fraction(lo, 0) - fraction(lo + 2 * half, size)
+            )
+        else:
+            # The tent sum, up to its sign (only its square is used).
+            tau = np.minimum(offset, 2 * half - offset).astype(np.float64)
+            nd = np.add.reduceat(jump * tau, runs)
+        stat_sq[:, j] = np.add.reduceat(nd * nd, np.searchsorted(runs, row_starts)) / n
     return ChunkResult(start=start, count=count, payload={"stat_sq": stat_sq})
 
 
@@ -477,15 +584,7 @@ def run_moment_experiment(config: ExperimentConfig) -> MomentReport:
         raise ParameterError(
             "replicates", f"replicates * n**2 must stay below 2**63 (got {config.R} at n={config.n})"
         )
-    cells, chunks = 1 << (config.J + 1), -(-config.R // config.chunk_size)
-    level_bytes = 48 * config.R * (config.J + 1)
-    held = cells * (400 + 24 * chunks) + level_bytes
-    if held > MAX_MOMENT_BYTES:
-        raise ParameterError(
-            "replicates" if 2 * level_bytes > held else "j_max",
-            f"the moments run would hold about {held >> 20} MiB, over its {MAX_MOMENT_BYTES >> 20}"
-            f" MiB cap (j_max {config.J}, replicates {config.R}, chunk_size {config.chunk_size})",
-        )
+    check_held_bytes(config, "moments")
     parts = run_chunked("moment", config)
     data = aggregate(parts, config.R, _MOMENT_REDUCERS)
     J, n, R = config.J, config.n, config.R
@@ -672,6 +771,7 @@ def run_concentration_experiment(config: ExperimentConfig) -> ConcentrationRepor
     and the replicate index.
     """
     check_settings(config, "concentration")
+    check_held_bytes(config, "concentration")
     n, R = config.n, config.R
     sh = _step_level_sums(config)
     deviated = (2 * sh <= n) | (2 * sh >= 3 * n)
@@ -774,6 +874,7 @@ def run_sandwich_experiment(config: ExperimentConfig) -> SandwichReport:
     check_settings(config, "sandwich")
     if config.J < 10:
         raise ParameterError("j_max", f"sandwich verification needs j_max >= 10 (got {config.J})")
+    check_held_bytes(config, "sandwich")
     stat_sq, in_band = _level_event_matrix(config)
     return _band_report(
         "sandwich", config, np.sqrt(stat_sq), stat_sq, in_band,
@@ -798,6 +899,7 @@ def run_roynette_experiment(config: ExperimentConfig) -> SandwichReport:
     identical results for equal seeds.
     """
     check_settings(config, "roynette")
+    check_held_bytes(config, "roynette")
     parts = run_chunked("roynette", config)
     stat = aggregate(parts, config.R, {"stat": "stack"})["stat"]
     target = absolute_moment_target(config.p)

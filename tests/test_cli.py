@@ -206,6 +206,42 @@ class TestUsageErrors:
         assert err.startswith("error: j_max: ") and err.count("\n") == 1, err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv,settings",
+        [
+            (["verify-sandwich"], None),
+            (["verify-sandwich", "--n", "20"], {"process": "empirical-continuous"}),
+            (["verify-concentration"], None),
+            (["verify-roynette"], None),
+            (["verify-all"], None),
+        ],
+        ids=["sandwich", "sandwich-continuous", "concentration", "roynette", "all"],
+    )
+    def test_replicates_memory_cap_before_draws(self, tmp_path, capsys, monkeypatch, argv, settings):
+        def no_draws(name, cfg):
+            raise AssertionError("drew replicates")
+
+        monkeypatch.setattr(montecarlo, "run_chunked", no_draws)
+        if settings is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(settings))
+            argv = argv + ["--config", str(cfg)]
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--replicates", str(10**12), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: replicates: ") and err.count("\n") == 1, err
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_workers_cap_before_any_pool(self, tmp_path, capsys, monkeypatch):
+        def no_pool(workers):
+            raise AssertionError(f"asked for a pool of {workers}")
+
+        monkeypatch.setattr(montecarlo, "_worker_pool", no_pool)
+        out = tmp_path / "o"
+        assert run_cli("verify-moments", "--workers", "1000000", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: workers: must be <= 64 (got 1000000)\n"
+        assert not out.exists()
+
     def test_simulate_bm_has_no_sample_size(self, tmp_path, capsys):
         code = run_cli("simulate-bm", "--n", "5", "--out", str(tmp_path / "p.json"))
         assert code == 1

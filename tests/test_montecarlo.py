@@ -1,7 +1,9 @@
+import bisect
 import json
 import math
 import time
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,15 +12,22 @@ from hypothesis import strategies as st
 
 from besov_empirica import montecarlo
 from besov_empirica.besov import BesovParams, level_statistic
-from besov_empirica.empirical import halfcell_counts, signed_sums_by_level
+from besov_empirica.empirical import (
+    continuous_ecdf,
+    empirical_coefficients,
+    halfcell_counts,
+    signed_sums_by_level,
+)
 from besov_empirica.errors import AggregationError, ParameterError
 from besov_empirica.montecarlo import (
     CONFIG_KEYS,
     EXPERIMENTS,
+    MAX_WORKERS,
     PROCESSES,
     RUN_ONLY_FIELDS,
     ChunkResult,
     ExperimentConfig,
+    _continuous_levels_chunk,
     _roynette_chunk,
     _step_chunk,
     absolute_moment_target,
@@ -30,7 +39,13 @@ from besov_empirica.montecarlo import (
     run_sandwich_experiment,
 )
 from besov_empirica.gaussian import brownian_bridge, brownian_motion
-from besov_empirica.sampling import GAUSSIAN_STREAM, UNIFORM_STREAM, SeedSpec, sample_uniform
+from besov_empirica.sampling import (
+    GAUSSIAN_STREAM,
+    UNIFORM_STREAM,
+    SeedSpec,
+    order_statistics,
+    sample_uniform,
+)
 
 SEED = 42
 
@@ -59,6 +74,13 @@ class TestConfigValidation:
         with pytest.raises(ParameterError) as err:
             ExperimentConfig(**kwargs)
         assert err.value.key == key
+
+    def test_workers_capped(self):
+        # Only the config is built, so no worker process starts.
+        ExperimentConfig(workers=MAX_WORKERS)
+        with pytest.raises(ParameterError) as err:
+            ExperimentConfig(workers=1_000_000)
+        assert str(err.value) == f"workers: must be <= {MAX_WORKERS} (got 1000000)"
 
     def test_sample_points_cap_counts_the_chunk(self):
         # 50000 points times 80 replicates fit under MAX_CHUNK_POINTS; times
@@ -224,6 +246,127 @@ class TestGaussianKernel:
         np.testing.assert_array_equal(got.payload["stat"], want)
 
 
+def _sample_stream(cfg, start, count):
+    return [sample_uniform(cfg.n, SeedSpec(cfg.seed, start + i, UNIFORM_STREAM)) for i in range(count)]
+
+
+def _exact_stat_sq(sample, J):
+    """``2**-j sum_k c_jk**2`` of the continuous version in rational arithmetic.
+
+    ``c_jk**2 = 2**j * n * (2 F(mid) - F(l) - F(r))**2``, the linear part
+    cancelling; ``F`` interpolates the nodes of ``continuous_ecdf`` read as
+    exact fractions.
+    """
+    n = sample.n
+    xs = [Fraction(x) for x in continuous_ecdf(sample).xs]
+
+    def cdf(t):
+        i = bisect.bisect_right(xs, t) - 1
+        return Fraction(1) if i == n else (i + (t - xs[i]) / (xs[i + 1] - xs[i])) / n
+
+    out = []
+    for j in range(J + 1):
+        cells = 1 << j
+        out.append(
+            n
+            * sum(
+                (2 * cdf(Fraction(2 * k + 1, 2 * cells)) - cdf(Fraction(k, cells))
+                 - cdf(Fraction(k + 1, cells))) ** 2
+                for k in range(cells)
+            )
+        )
+    return out
+
+
+def _assert_exact(got, exact, rel=1e-12):
+    for j, (value, want) in enumerate(zip(got, exact)):
+        if want == 0:
+            assert value == 0.0, j
+        else:
+            assert abs(Fraction(float(value)) - want) <= rel * want, (j, float(value), float(want))
+
+
+class TestContinuousKernel:
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(2, 300),
+        J=st.integers(6, 12),
+        start=st.integers(0, 2**64 - 8),
+        count=st.integers(1, 7),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_dense_reference(self, n, J, start, count, seed):
+        cfg = ExperimentConfig(process="empirical-continuous", n=n, J=J, seed=seed)
+        got = _continuous_levels_chunk(cfg, start, count)
+        assert (got.start, got.count) == (start, count)
+        assert set(got.payload) == {"stat_sq"}
+        assert got.payload["stat_sq"].shape == (count, J + 1)
+        # The dense path rounds each grid value of sqrt(n) * (F(t) - t) by a
+        # few eps * sqrt(n) (at most 3 in these units when measured), so each
+        # of its coefficients may be off by 32 * 2**(j/2) * eps * sqrt(n).
+        # That allowance only matters where a level's statistic is tiny
+        # (n = 2 at fine levels); the rational tests below pin those.
+        dc0 = 32 * 2.0**-53 * math.sqrt(n)
+        for i, sample in enumerate(_sample_stream(cfg, start, count)):
+            tri = empirical_coefficients(sample, J, source="continuous")
+            for j in range(J + 1):
+                c, dc = tri.levels[j], dc0 * 2.0 ** (j / 2)
+                want = float(np.sum(c**2)) / (1 << j)
+                slack = float(np.sum(2 * np.abs(c) * dc + dc * dc)) / (1 << j)
+                value = got.payload["stat_sq"][i, j]
+                assert abs(value - want) <= 1e-11 * want + slack, (i, j, value, want)
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(2, 6),
+        start=st.integers(0, 2**64 - 4),
+        count=st.integers(1, 3),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_rational_arithmetic_small_n(self, n, start, count, seed):
+        cfg = ExperimentConfig(process="empirical-continuous", n=n, J=6, seed=seed)
+        got = _continuous_levels_chunk(cfg, start, count).payload["stat_sq"]
+        for i, sample in enumerate(_sample_stream(cfg, start, count)):
+            _assert_exact(got[i], _exact_stat_sq(sample, cfg.J))
+
+    @pytest.mark.parametrize("seed", [SEED, 7])
+    def test_matches_rational_arithmetic_coarse_levels_large_n(self, seed):
+        # With up to 999 knots a cell, the tent terms of a coarse cell nearly
+        # cancel: summed as they are, they missed these statistics by up to
+        # 2e-11 relative.  The kernel reads those levels from the CDF instead.
+        cfg = ExperimentConfig(process="empirical-continuous", n=1000, J=6, seed=seed)
+        got = _continuous_levels_chunk(cfg, 0, 10).payload["stat_sq"]
+        for i, sample in enumerate(_sample_stream(cfg, 0, 10)):
+            _assert_exact(got[i], _exact_stat_sq(sample, cfg.J))
+
+    @pytest.mark.parametrize(
+        "values,zero_from",
+        [
+            # Knots 1/4 and 9/16: every knot is on a cell edge from level 4.
+            ([1 / 8, 3 / 8, 3 / 4], 4),
+            # Knots 1/4, 1/2, 3/4 and 29/32: on coarse levels a cell starts
+            # at a knot; from level 5 all four are on edges.
+            ([1 / 8, 3 / 8, 5 / 8, 7 / 8, 15 / 16], 5),
+            # A single interior knot, 3/8.
+            ([1 / 8, 5 / 8], 3),
+            # A single interior knot off the lattice of any level <= 12.
+            ([0.1 + 2.0**-40, 0.7], None),
+        ],
+    )
+    def test_knots_on_cell_edges(self, monkeypatch, values, zero_from):
+        sample = order_statistics(values)
+        monkeypatch.setattr(montecarlo, "sample_uniform", lambda n, seed: sample)
+        cfg = ExperimentConfig(process="empirical-continuous", n=sample.n, J=12)
+        got = _continuous_levels_chunk(cfg, 0, 2).payload["stat_sq"]
+        exact = _exact_stat_sq(sample, cfg.J)
+        for row in got:
+            _assert_exact(row, exact)
+        if zero_from is not None:
+            # F is linear on every cell from there on: the tent heights are 0.
+            assert all(value == 0 for value in exact[zero_from:])
+            assert exact[zero_from - 1] > 0
+
+
 class TestMoments:
     def test_oracle_agreement_small_instance(self):
         cfg = ExperimentConfig(n=3, J=6, R=4000, seed=SEED, chunk_size=500)
@@ -255,19 +398,26 @@ class TestMoments:
 
     def test_worker_count_invariance(self):
         # Worker count is not part of a report, so the serialized documents
-        # must agree byte for byte.
-        # A chunk size of 70 leaves a short last chunk of 20.
-        docs = set()
-        for chunk_size in (50, 70):
-            base = ExperimentConfig(n=20, J=6, R=300, seed=SEED, chunk_size=chunk_size)
-            solo = run_moment_experiment(base)
-            multi = run_moment_experiment(replace(base, workers=2))
-            assert json.dumps(solo.as_dict(), sort_keys=True) == json.dumps(
-                multi.as_dict(), sort_keys=True
-            )
-            docs.add(json.dumps(solo.as_dict()["results"], sort_keys=True))
-        # Integer payloads make the report independent of the chunking too.
-        assert len(docs) == 1
+        # must agree byte for byte.  A chunk size of 70 leaves a short last
+        # chunk of 20.  Integer payloads (moments) and per-replicate sums
+        # that ignore the rest of their chunk (the continuous version) make
+        # the reports independent of the chunking too.
+        runs = [
+            (run_moment_experiment, ExperimentConfig(n=20, J=6, R=300, seed=SEED)),
+            (
+                run_sandwich_experiment,
+                ExperimentConfig(process="empirical-continuous", n=20, J=10, R=300, seed=SEED),
+            ),
+        ]
+        for runner, config in runs:
+            docs = set()
+            for chunk_size in (50, 70):
+                base = replace(config, chunk_size=chunk_size)
+                solo = json.dumps(runner(base).as_dict(), sort_keys=True)
+                multi = json.dumps(runner(replace(base, workers=2)).as_dict(), sort_keys=True)
+                assert solo == multi
+                docs.add(solo)
+            assert len(docs) == 1, config.process
 
 
 class TestConcentration:
