@@ -15,12 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
 from . import besov, dyadic, empirical, gaussian, montecarlo
-from .errors import BesovEmpiricaError, ParameterError
+from .errors import BesovEmpiricaError, ParameterError, checked_value, read_json_object
 from .sampling import UNIFORM_STREAM, SeedSpec, sample_uniform
 
 #: Gaussian part of the default verification suite.
@@ -40,40 +39,6 @@ class _Parser(argparse.ArgumentParser):
 # Config handling
 # ---------------------------------------------------------------------------
 
-def _load_config_file(path) -> dict:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParameterError("config", f"config file is not valid JSON: {exc}") from exc
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
-        raise ParameterError("config", f"cannot read config file: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParameterError("config", "config file must hold a JSON object")
-    return data
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _config_value(key: str, value, kind):
-    """A config-file value of field type ``kind``, checked and never truncated."""
-    if kind is str:
-        ok, expected = isinstance(value, str), "a string"
-    elif kind is int:
-        ok, expected = _is_int(value), "an integer"
-    else:
-        expected = "a finite number"
-        try:
-            ok = (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
-        except OverflowError:
-            ok = False
-    if not ok:
-        raise ParameterError(key, f"must be {expected} (got {value!r})")
-    return float(value) if kind is float else value
-
-
 def _experiment_config(args, kind: str | None = None) -> montecarlo.ExperimentConfig:
     """Merge config-file settings and flags (flags win).
 
@@ -87,11 +52,11 @@ def _experiment_config(args, kind: str | None = None) -> montecarlo.ExperimentCo
     if kind in montecarlo.EXPERIMENTS:
         settings["process"] = montecarlo.EXPERIMENTS[kind][0][0]
     if getattr(args, "config", None):
-        for key, value in _load_config_file(args.config).items():
+        for key, value in read_json_object(args.config, "config").items():
             if key not in schema:
                 raise ParameterError(key, "unknown configuration key")
             field, kind = schema[key]
-            settings[field] = _config_value(key, value, kind)
+            settings[field] = checked_value(key, value, kind)
     for key, (field, _) in schema.items():
         if (value := getattr(args, key, None)) is not None:
             settings[field] = value
@@ -276,8 +241,8 @@ def _run_and_emit(kind: str, cfg: montecarlo.ExperimentConfig, out_dir: str):
 
 def _cmd_verify(kind: str, args) -> int:
     """Run ``verify-<kind>``; ``verify-all`` runs every experiment at the
-    settings it reads, with defaults for the rest.  Each runner checks its
-    settings against ``montecarlo.EXPERIMENTS`` before any draw."""
+    settings it reads, with defaults for the rest.  Every run is checked
+    (``montecarlo.check_run``) before any draw and before ``--out`` exists."""
     cfg = _experiment_config(args, kind)
     configs = {kind: cfg}
     if kind == "all":
@@ -288,8 +253,8 @@ def _cmd_verify(kind: str, args) -> int:
             if name == "roynette":
                 kept["J"] = max(cfg.J, ROYNETTE_SUITE_LEVEL)
             configs[name] = montecarlo.ExperimentConfig(process=processes[0], **kept)
-            # Every run's memory bound is checked before the first one starts.
-            montecarlo.check_held_bytes(configs[name], name)
+    for name, run_cfg in configs.items():
+        montecarlo.check_run(run_cfg, name)
     out_dir = _out_dir(args)
     results = {}
     for name, run_cfg in configs.items():

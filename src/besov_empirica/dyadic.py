@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, checked_value, read_json_object
 
 #: Largest grid level accepted anywhere (2**30 + 1 values is the memory bound,
 #: and k / 2**30 is exactly representable in binary floating point).
@@ -104,12 +104,15 @@ def extract_coefficients(path: DyadicPathValues) -> CoefficientTriangle:
     mu0 = float(v[0])
     mu1 = float(v[-1] - v[0])
     levels = []
-    for j in range(path.J):
-        step = 1 << (path.J - j)
-        left = v[0:-1:step]
-        right = v[step::step]
-        mid = v[step // 2 :: step]
-        levels.append((2.0 ** (0.5 * j)) * (2.0 * mid - left - right))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(path.J):
+            step = 1 << (path.J - j)
+            left = v[0:-1:step]
+            right = v[step::step]
+            mid = v[step // 2 :: step]
+            levels.append((2.0 ** (0.5 * j)) * (2.0 * mid - left - right))
+    if not (np.isfinite(mu1) and all(np.all(np.isfinite(lev)) for lev in levels)):
+        raise ParameterError("path", "its coefficients overflow float64")
     return CoefficientTriangle(J=path.J - 1, mu0=mu0, mu1=mu1, levels=tuple(levels))
 
 
@@ -162,16 +165,38 @@ def triangle_to_dict(coeffs: CoefficientTriangle) -> dict:
     }
 
 
+#: The fields, and their types, of what ``save_triangle_json`` and
+#: ``save_path_json`` write (``simulate-bm`` adds the last three path fields).
+_TRIANGLE_FIELDS = {"J": int, "mu0": float, "mu1": float, "levels": list, "metadata": dict}
+_PATH_FIELDS = {"J": int, "values": list, "kind": str, "seed": int, "triangle": dict}
+
+
+def _fields(data, types: dict, required: tuple) -> dict:
+    """The fields of document ``data``, each of its type in ``types``."""
+    if not isinstance(data, dict):
+        raise ParameterError("document", f"must be a JSON object (got {type(data).__name__})")
+    for key in data:
+        if key not in types:
+            raise ParameterError(key, "unknown field")
+    for key in required:
+        if key not in data:
+            raise ParameterError(key, "missing field")
+    return {key: checked_value(key, value, types[key]) for key, value in data.items()}
+
+
+def _numbers(key: str, values) -> np.ndarray:
+    values = checked_value(key, values, list)
+    return np.array([checked_value(key, value, float) for value in values], dtype=np.float64)
+
+
 def triangle_from_dict(data: dict) -> CoefficientTriangle:
+    """The triangle of a document; any error is a ``ParameterError`` keyed ``coeffs``."""
     try:
-        return CoefficientTriangle(
-            J=int(data["J"]),
-            mu0=float(data["mu0"]),
-            mu1=float(data["mu1"]),
-            levels=tuple(np.asarray(lev, dtype=np.float64) for lev in data["levels"]),
-        )
-    except KeyError as exc:
-        raise ParameterError("coeffs", f"missing triangle field {exc}") from exc
+        doc = _fields(data, _TRIANGLE_FIELDS, required=("J", "mu0", "mu1", "levels"))
+        levels = tuple(_numbers("levels", lev) for lev in doc["levels"])
+        return CoefficientTriangle(J=doc["J"], mu0=doc["mu0"], mu1=doc["mu1"], levels=levels)
+    except ParameterError as exc:
+        raise ParameterError("coeffs", str(exc)) from exc
 
 
 def save_triangle_json(coeffs, path, metadata: dict | None = None) -> None:
@@ -185,8 +210,7 @@ def save_triangle_json(coeffs, path, metadata: dict | None = None) -> None:
 
 def load_triangle_json(path):
     """Read a triangle file, returning ``(triangle, metadata_or_None)``."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json_object(path, "coeffs")
     return triangle_from_dict(doc), doc.get("metadata")
 
 
@@ -225,12 +249,12 @@ def path_to_dict(path_values: DyadicPathValues) -> dict:
 
 
 def path_from_dict(data: dict) -> DyadicPathValues:
+    """The path of a document; any error is a ``ParameterError`` keyed ``path``."""
     try:
-        return DyadicPathValues(
-            J=int(data["J"]), values=np.asarray(data["values"], dtype=np.float64)
-        )
-    except KeyError as exc:
-        raise ParameterError("path", f"missing path field {exc}") from exc
+        doc = _fields(data, _PATH_FIELDS, required=("J", "values"))
+        return DyadicPathValues(J=doc["J"], values=_numbers("values", doc["values"]))
+    except ParameterError as exc:
+        raise ParameterError("path", str(exc)) from exc
 
 
 def save_path_json(path_values, path, extra: dict | None = None) -> None:
@@ -243,5 +267,4 @@ def save_path_json(path_values, path, extra: dict | None = None) -> None:
 
 
 def load_path_json(path) -> DyadicPathValues:
-    with open(path) as fh:
-        return path_from_dict(json.load(fh))
+    return path_from_dict(read_json_object(path, "path"))

@@ -7,11 +7,12 @@ the nodes ``((U_k + U_{k+1}) / 2, k / n)`` for ``k = 1..n-1`` plus the
 boundary nodes (0, 0) and (1, 1); the two functions are uniformly within
 ``1/n`` of each other, and that supremum is computed exactly here.
 
-Coefficients of the step empirical process come from signed half-cell
-counts: splitting the level-``j`` cell ``[(k-1)/2**j, k/2**j)`` at its
-midpoint, each observation scores +1 in the left half, -1 in the right
-half, 0 outside, and the coefficient is ``2**(j/2)/sqrt(n)`` times the
-total score.
+Both processes have their dyadic coefficients from one per-level cell
+reduction, ``level_cells``: a level-``j`` coefficient is ``2**(j/2)/sqrt(n)``
+times a cell value, the integer score sum for the step process (+1 per
+observation in the cell's left half, -1 in its right half).  The batched
+chunk kernels of ``montecarlo`` sum its output and ``empirical_coefficients``
+scatters it into a triangle.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import CoefficientTriangle, DyadicPathValues, extract_coefficients
+from .dyadic import CoefficientTriangle
+# Reference-only: no code path here calls it; it stays importable from this
+# module because perfbench/tracing.py wraps it as this module's attribute.
+from .dyadic import extract_coefficients  # noqa: F401
 from .errors import ParameterError
 from .sampling import EmpiricalSample
 
@@ -108,6 +112,8 @@ def empirical_process_eval(sample: EmpiricalSample, s, version: str = "step"):
     return float(out) if np.isscalar(s) or arr.ndim == 0 else out
 
 
+# Reference-only, called by no code path: the per-sample form of the step values
+# of ``level_cells`` for the tests, resolved by name by perfbench/tracing.py.
 def halfcell_counts(sample: EmpiricalSample, J: int) -> np.ndarray:
     """Observation counts in the half-open intervals of width ``2**-(J+1)``.
 
@@ -135,8 +141,83 @@ def signed_sums_by_level(counts: np.ndarray, J: int) -> list:
 
 
 def step_coefficient_scale(j: int, n: int) -> float:
-    """The factor ``2**(j/2) / sqrt(n)`` multiplying integer score sums."""
+    """The factor ``2**(j/2) / sqrt(n)`` from a cell value to its coefficient."""
     return 2.0 ** (0.5 * j) / math.sqrt(n)
+
+
+#: Knots of ``k / 2**53`` draws are multiples of ``2**-54``: in these units
+#: they are exact integers.
+_KNOT_BITS = 54
+
+
+def level_cells(samples: np.ndarray, J: int, source: str):
+    """The occupied cells of levels ``0..J``, samples stacked one replicate a row.
+
+    ``samples`` is a ``(count, n)`` matrix of sorted samples on the
+    ``k / 2**53`` lattice.  Yields, level by level, ``(first, cells,
+    values)``: every row's occupied cell indices in row order, their values,
+    and where in ``cells`` each row starts.  A cell's coefficient is its value
+    times ``step_coefficient_scale(j, n)``; other cells are 0.  The points
+    (knots) of a row that share a cell form a run, summed by
+    ``np.add.reduceat``: O(count * n) per level, each run and row on its own.
+
+    ``"step"``: the integer score sum ``S`` from the finest half-cell indices
+    ``floor(u * 2**(J+1))``.  ``"continuous"``: ``n * d``, ``d = 2 F(mid) -
+    F(l) - F(r)``, nonzero only on cells holding a knot ``(U_i + U_{i+1}) / 2``
+    of ``continuous_ecdf``.  With fewer cells than sample points it is read
+    from ``n * F`` at the cell's three points (knots below a point plus its
+    fraction of a segment), elsewhere from the tent sum ``-sum_i n * D_i *
+    min(x_i - l, r - x_i)`` (``D_i`` the slope jump at knot ``x_i``): each
+    form where its terms do not cancel.  Knots, gaps and tent heights are
+    exact integers in units of ``2**-54``.
+    """
+    count, n = samples.shape
+    if source == "step":
+        bits = J + 1
+        fine = (samples * float(1 << bits)).astype(np.int64)
+    else:
+        bits = _KNOT_BITS
+        fine = ((samples[:, :-1] + samples[:, 1:]) * float(1 << (bits - 1))).astype(np.int64)
+        ends = np.zeros((count, 1), dtype=np.int64)
+        nodes = np.concatenate((ends, fine, ends + (1 << bits)), axis=1)
+        gaps = np.diff(nodes, axis=1)
+        # -n * D_i = 1/gap_{i-1} - 1/gap_i, with no cancellation.
+        jump = ((gaps[:, 1:] - gaps[:, :-1]) / (gaps[:, :-1] * gaps[:, 1:].astype(np.float64))).ravel()
+        nodes, gaps = nodes.ravel(), gaps.ravel()
+    m, fine = fine.shape[1], fine.ravel()
+    row_starts = np.arange(0, count * m, m)
+    new_run = np.empty(count * m, dtype=bool)
+    for j in range(J + 1):
+        shift = bits - j
+        half = 1 << (shift - 1)
+        cell = fine >> shift
+        np.not_equal(cell[1:], cell[:-1], out=new_run[1:])
+        # Every row starts a run (row_starts[0] = 0 starts the first).
+        new_run[row_starts] = True
+        runs = np.flatnonzero(new_run)
+        occupied = cell[runs]
+        if source == "step":
+            # +1 in a cell's left half, -1 in its right half.
+            values = np.add.reduceat(1 - 2 * ((fine >> (shift - 1)) & 1), runs)
+        elif 1 << j < n:
+            # n * F at the cell's three points.  A run starting at within-row
+            # knot p of row r covers nodes p + 1 .. p + size; node p + i is
+            # nodes[runs + 2r + i] and the gap after it gaps[runs + r + i].
+            row = runs // m
+            size = np.diff(runs, append=count * m)
+            left = np.add.reduceat(1 - ((fine >> (shift - 1)) & 1), runs)
+            lo = occupied << shift
+
+            def fraction(point, i):
+                return (point - nodes[runs + 2 * row + i]) / gaps[runs + row + i]
+
+            values = (2 * left - size) + (
+                2.0 * fraction(lo + half, left) - fraction(lo, 0) - fraction(lo + 2 * half, size)
+            )
+        else:
+            offset = fine & (2 * half - 1)
+            values = np.add.reduceat(jump * np.minimum(offset, 2 * half - offset), runs)
+        yield np.searchsorted(runs, row_starts), occupied, values
 
 
 def empirical_coefficients(
@@ -144,27 +225,24 @@ def empirical_coefficients(
 ) -> CoefficientTriangle:
     """Dyadic coefficients of the empirical process up to level ``J``.
 
-    ``source="step"`` uses the closed form: integer signed half-cell
-    counts scaled by ``2**(j/2)/sqrt(n)``, one pass per level.
-    ``source="continuous"`` samples the continuous-version process at the
-    level-``J+1`` dyadic points and extracts second differences.  Both
+    The occupied cells of ``level_cells`` scattered into a zero triangle:
+    ``source="step"`` scales the integer score sums, ``source="continuous"``
+    the second differences ``n * d`` of the continuous version, which must
+    be drawn on the ``k / 2**53`` lattice for its knots to be exact.  Both
     boundary coefficients vanish because the process is 0 at 0 and 1.
     """
     if sample.n < 2:
         raise ParameterError("n", "need a sample of size >= 2")
     if J < 1:
         raise ParameterError("J", f"need max level >= 1 (got {J})")
-    if source == "step":
-        sums = signed_sums_by_level(halfcell_counts(sample, J), J)
-        levels = tuple(
-            sums[j].astype(np.float64) * step_coefficient_scale(j, sample.n)
-            for j in range(J + 1)
-        )
-        return CoefficientTriangle(J=J, mu0=0.0, mu1=0.0, levels=levels)
-    if source == "continuous":
-        ecdf = continuous_ecdf(sample)
-        m = 1 << (J + 1)
-        t = np.arange(m + 1, dtype=np.float64) / m
-        alpha = math.sqrt(sample.n) * (np.interp(t, ecdf.xs, ecdf.ys) - t)
-        return extract_coefficients(DyadicPathValues(J=J + 1, values=alpha))
-    raise ParameterError("source", f"unknown coefficient source {source!r}")
+    if source not in ("step", "continuous"):
+        raise ParameterError("source", f"unknown coefficient source {source!r}")
+    u = sample.sorted_values
+    if source == "continuous" and np.any(np.modf(u * float(1 << (_KNOT_BITS - 1)))[0]):
+        raise ParameterError("sample", "the continuous source needs values on the k / 2**53 lattice")
+    levels = []
+    for j, (_, cells, values) in enumerate(level_cells(u[np.newaxis], J, source)):
+        level = np.zeros(1 << j)
+        level[cells] = values * step_coefficient_scale(j, sample.n)
+        levels.append(level)
+    return CoefficientTriangle(J=J, mu0=0.0, mu1=0.0, levels=tuple(levels))

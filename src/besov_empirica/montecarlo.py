@@ -8,20 +8,18 @@ only on the replicate count.  Partial results are reduced strictly in
 chunk order, so the output is bit-identical no matter how many worker
 processes ran the chunks or in which order they finished.
 
-Step-process chunks are batched: one kernel bins every sample of a chunk
-at once and reduces all levels across the chunk, and its payloads are
-integers (per-replicate level sums of ``H = S**2`` and ``H**2``, per-cell
-sums of ``S`` and ``H``; per-cell sums of ``H**2`` are float64, exact below
-``2**53``).  The coefficient scalings ``2**(j/2)/sqrt(n)`` and ``2**j/n``
-are applied when the report is built.  All band and deviation events
-reduce to integer comparisons on the per-level score sums
-(``2*sum_h <= n`` etc.), so event counts carry no rounding at all.
-
-The continuous-version kernel is batched the same way.  Its coefficients
-are second differences of a piecewise-linear CDF, nonzero only on cells
-holding one of its ``n - 1`` knots, so each level costs O(n) per replicate
-instead of the ``2**(J+1)``-point grid of ``empirical_coefficients``, which
-stays the dense reference.
+The empirical chunk kernels are batched: each stacks a chunk's uniform
+samples and sums, level by level, the occupied cells that
+``empirical.level_cells`` yields for the whole chunk, O(n) per level and
+replicate (``empirical_coefficients`` scatters the same cells into a
+triangle).  Step-process payloads are integers (per-replicate level sums of
+``H = S**2`` and ``H**2``, per-cell sums of ``S`` and ``H``; per-cell sums
+of ``H**2`` are float64, exact below ``2**53``).  The coefficient scalings
+``2**(j/2)/sqrt(n)`` and ``2**j/n`` are applied when the report is built.
+All step band and deviation events reduce to integer comparisons on the
+per-level score sums (``2*sum_h <= n`` etc.), so event counts carry no
+rounding at all.  The continuous-version kernel sums the squares of the
+second differences ``n * d`` of its knots' cells.
 
 The Gaussian kernel reads level statistics straight from the synthesis
 draws, which are the path's level coefficients: it rebuilds no path and
@@ -48,16 +46,11 @@ import numpy as np
 # Gaussian kernel; they stay importable from here because
 # perfbench/tracing.py wraps them as this module's attributes.
 from .besov import BesovParams, level_statistic, tail_window_start
-# ``halfcell_counts`` and ``signed_sums_by_level`` are the per-replicate
-# reference for the batched step kernel, and ``empirical_coefficients`` the
-# dense reference for the continuous kernel; they stay importable from here
-# because perfbench/tracing.py wraps them as this module's attributes.
-from .empirical import (
-    empirical_coefficients,
-    halfcell_counts,
-    signed_sums_by_level,
-    step_coefficient_scale,
-)
+from .empirical import level_cells, step_coefficient_scale
+# Reference-only, called by no code path here: the per-sample step form and the
+# triangle of ``level_cells``' cells.  perfbench/tracing.py wraps them as this
+# module's attributes.
+from .empirical import empirical_coefficients, halfcell_counts, signed_sums_by_level  # noqa: F401
 from .errors import AggregationError, ParameterError
 from .gaussian import MAX_SYNTH_LEVEL, brownian_motion, synthesis_draws
 from .oracle import enumeration_oracle, oracle_applicable
@@ -89,7 +82,7 @@ ROYNETTE_CONFIDENCE = 0.99
 MAX_MOMENT_SAMPLE = 20_000
 
 #: Most bytes a verification run may hold, estimated before any draw by
-#: ``check_held_bytes``.
+#: ``check_run``.
 MAX_RUN_BYTES = 1 << 30
 
 #: Largest max level any run accepts: the Gaussian synthesis cap, which also
@@ -101,7 +94,7 @@ MAX_LEVEL = MAX_SYNTH_LEVEL - 1
 #: half-cell indices and per-level temporaries, measured at n = 10**4 with
 #: 100 replicates), so 2**22 points stay near 270 MiB, well under 1 GiB.
 #: The continuous kernel also holds knots, nodes, gaps and slope jumps: 95
-#: to 125 bytes per point (n = 10**4 down to 4), so at most about 520 MiB.
+#: to 130 bytes per point (n = 10**4 down to 4), so at most about 545 MiB.
 MAX_CHUNK_POINTS = 1 << 22
 
 #: Most worker processes a run may start.
@@ -219,21 +212,29 @@ def check_settings(config: ExperimentConfig, kind: str) -> None:
             )
 
 
-def check_held_bytes(config: ExperimentConfig, kind: str) -> None:
-    """Reject, before any draw, a ``verify-<kind>`` run over ``MAX_RUN_BYTES``.
+def check_run(config: ExperimentConfig, kind: str) -> None:
+    """Reject, before any draw, a ``verify-<kind>`` run that cannot go ahead.
 
-    A moments run holds about 400 bytes a cell for the report's six floats a
-    cell in lists, 24 bytes a cell for each chunk's three per-cell sums (all
-    chunks are held until they are summed), and 48 bytes a replicate and
-    level for the level sums and their statistics.  That estimate plus 37 MiB
-    of interpreter came within -2% to +15% of measured peaks (J = 16..19 at 1
-    to 20 chunks, J = 12 at 1000).  The other runs hold 32 bytes a replicate
-    and level (the chunks' level matrices, their stacked copy, the statistic
-    and its events), and a band report 160 more a replicate for its four
-    per-replicate lists of floats; that overestimates measured peaks (n = 10,
-    R = 2 * 10**5, J = 10 and 20) by 30 to 90%.
+    ``kind`` is an ``EXPERIMENTS`` key.  Checks ``check_settings``, the
+    experiment's own bounds, and the bytes held against ``MAX_RUN_BYTES``:
+    for moments 400 bytes a cell for the report, 24 a cell per chunk for the
+    held per-cell sums and 48 a replicate and level (with 37 MiB of
+    interpreter, -2% to +15% of peaks measured at J = 12..19); else 32 bytes
+    a replicate and level, plus 160 a replicate for a band report's lists
+    (30 to 90% over peaks measured at n = 10, R = 2 * 10**5, J = 10 and 20).
     """
-    J, R = config.J, config.R
+    check_settings(config, kind)
+    n, J, R = config.n, config.J, config.R
+    if kind == "moments":
+        if n > MAX_MOMENT_SAMPLE:
+            raise ParameterError("n", f"moment experiment caps n at {MAX_MOMENT_SAMPLE}")
+        # int64 per-cell sums over all replicates: |sum S| <= R*n and sum H <= R*n**2.
+        if R * n**2 >= 1 << 63:
+            raise ParameterError(
+                "replicates", f"replicates * n**2 must stay below 2**63 (got {R} at n={n})"
+            )
+    if kind == "sandwich" and J < 10:
+        raise ParameterError("j_max", f"sandwich verification needs j_max >= 10 (got {J})")
 
     def held_at(replicates):
         if kind == "moments":
@@ -365,29 +366,20 @@ def run_chunked(name: str, cfg: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _uniform_chunk(cfg: ExperimentConfig, start: int, count: int) -> np.ndarray:
+    """The chunk's sorted uniform samples, one replicate a row."""
+    seeds = (SeedSpec(cfg.seed, start + i, UNIFORM_STREAM) for i in range(count))
+    return np.stack([sample_uniform(cfg.n, seed).sorted_values for seed in seeds])
+
+
 def _step_chunk(cfg: ExperimentConfig, start: int, count: int, cells: bool) -> ChunkResult:
     """Integer level sums of the step process for one chunk, all levels at once.
 
-    The chunk's sorted samples are stacked into one ``count * n`` vector of
-    finest half-cell indices ``floor(u * 2**(J+1))``; since ``u = k / 2**53``
-    the product is exact and the binning equals ``halfcell_counts``.  At
-    level ``j`` the points of one replicate that share a cell form a run of
-    the vector, so ``np.add.reduceat`` over the run starts yields the signed
-    sum ``S`` of every occupied cell, in O(count * n) per level.  Returns the
-    per-replicate ``sum_k H`` (``H = S**2``) and, when ``cells`` is set,
-    ``sum_k H**2`` plus per-cell sums of ``S``, ``H`` and ``H**2`` over the
-    chunk.
+    Sums the score sums ``S`` of ``level_cells`` into the per-replicate
+    ``sum_k H`` (``H = S**2``) and, when ``cells`` is set, ``sum_k H**2``
+    plus per-cell sums of ``S``, ``H`` and ``H**2`` over the chunk.
     """
-    J, n = cfg.J, cfg.n
-    samples = np.stack(
-        [
-            sample_uniform(n, SeedSpec(cfg.seed, start + i, UNIFORM_STREAM)).sorted_values
-            for i in range(count)
-        ]
-    )
-    finest = (samples * float(1 << (J + 1))).astype(np.int64).ravel()
-    row_starts = np.arange(0, count * n, n)
-    new_run = np.empty(count * n, dtype=bool)
+    J = cfg.J
     sum_h = np.empty((count, J + 1), dtype=np.int64)
     payload = {"sum_h": sum_h}
     if cells:
@@ -396,24 +388,15 @@ def _step_chunk(cfg: ExperimentConfig, start: int, count: int, cells: bool) -> C
         cell_s = np.zeros(ncells, dtype=np.int64)
         cell_h = np.zeros(ncells, dtype=np.int64)
         cell_h2 = np.zeros(ncells)
-        payload.update(
-            sum_h2=sum_h2, cell_sum_s=cell_s, cell_sum_h=cell_h, cell_sum_h2=cell_h2
-        )
-    for j in range(J + 1):
-        cell = finest >> (J + 1 - j)
-        score = 1 - 2 * ((finest >> (J - j)) & 1)
-        np.not_equal(cell[1:], cell[:-1], out=new_run[1:])
-        # Every replicate starts a run (row_starts[0] = 0 starts the first).
-        new_run[row_starts] = True
-        runs = np.flatnonzero(new_run)
-        s = np.add.reduceat(score, runs)
+        payload.update(sum_h2=sum_h2, cell_sum_s=cell_s, cell_sum_h=cell_h, cell_sum_h2=cell_h2)
+    levels = level_cells(_uniform_chunk(cfg, start, count), J, "step")
+    for j, (first, occupied, s) in enumerate(levels):
         h = s * s
-        by_row = np.searchsorted(runs, row_starts)
-        sum_h[:, j] = np.add.reduceat(h, by_row)
+        sum_h[:, j] = np.add.reduceat(h, first)
         if cells:
             hh = h * h
-            sum_h2[:, j] = np.add.reduceat(hh, by_row)
-            k0 = cell[runs] + ((1 << j) - 1)
+            sum_h2[:, j] = np.add.reduceat(hh, first)
+            k0 = occupied + ((1 << j) - 1)
             np.add.at(cell_s, k0, s)
             np.add.at(cell_h, k0, h)
             np.add.at(cell_h2, k0, hh.astype(np.float64))
@@ -429,77 +412,13 @@ _MOMENT_REDUCERS = {
 }
 
 
-#: Knots of ``k / 2**53`` draws are multiples of ``2**-54``: in these units
-#: they are exact integers.
-_KNOT_BITS = 54
-
-
 def _continuous_levels_chunk(cfg: ExperimentConfig, start: int, count: int) -> ChunkResult:
-    """Squared level statistics ``2**-j sum_k c_jk**2`` of the continuous version.
-
-    The continuous CDF ``F`` is linear between the nodes of
-    ``continuous_ecdf``: 0, the knots ``x_i = (U_i + U_{i+1}) / 2`` and 1.
-    So ``c_jk = 2**(j/2) * sqrt(n) * d`` with ``d = 2 F(mid) - F(l) - F(r)``
-    is nonzero only on cells holding a knot, and the statistic is
-    ``n * sum_k d**2``.  The chunk's knots are stacked like
-    ``_step_chunk``'s samples, and ``np.add.reduceat`` over the runs of
-    knots that share a cell gives each such cell's ``n * d``, in O(count * n)
-    per level.  On levels with fewer cells than sample points, ``n * F`` is
-    read at the cell's three points (knots below a point plus its fraction
-    of a segment); on finer ones ``n * d`` is the tent sum
-    ``-sum_i n * D_i * min(x_i - l, r - x_i)``, ``D_i`` being the slope jump
-    at ``x_i``.  Each form is used where its terms do not cancel.  Knots,
-    gaps and tent heights are exact integers in units of ``2**-54``, and
-    each run and row is summed on its own, so a replicate's statistics do
-    not depend on the rest of its chunk.
-    """
-    J, n = cfg.J, cfg.n
-    samples = np.stack(
-        [
-            sample_uniform(n, SeedSpec(cfg.seed, start + i, UNIFORM_STREAM)).sorted_values
-            for i in range(count)
-        ]
-    )
-    knots = ((samples[:, :-1] + samples[:, 1:]) * float(1 << (_KNOT_BITS - 1))).astype(np.int64)
-    ends = np.zeros((count, 1), dtype=np.int64)
-    nodes = np.concatenate((ends, knots, ends + (1 << _KNOT_BITS)), axis=1)
-    gaps = np.diff(nodes, axis=1)
-    # n * D_i = 1/gap_i - 1/gap_{i-1}, with no cancellation.
-    jump = ((gaps[:, :-1] - gaps[:, 1:]) / (gaps[:, :-1] * gaps[:, 1:].astype(np.float64))).ravel()
-    nodes, gaps, fine = nodes.ravel(), gaps.ravel(), knots.ravel()
-    m = n - 1
-    row_starts = np.arange(0, count * m, m)
-    new_run = np.empty(count * m, dtype=bool)
-    stat_sq = np.empty((count, J + 1))
-    for j in range(J + 1):
-        shift = _KNOT_BITS - j
-        half = 1 << (shift - 1)
-        cell = fine >> shift
-        offset = fine & ((1 << shift) - 1)
-        np.not_equal(cell[1:], cell[:-1], out=new_run[1:])
-        # Every replicate starts a run (row_starts[0] = 0 starts the first).
-        new_run[row_starts] = True
-        runs = np.flatnonzero(new_run)
-        if 1 << j < n:
-            # n * F at the cell's three points.  A run starting at within-row
-            # knot p of row r covers nodes p + 1 .. p + size; node p + i is
-            # nodes[runs + 2r + i] and the gap after it gaps[runs + r + i].
-            row = runs // m
-            size = np.diff(runs, append=count * m)
-            left = np.add.reduceat((offset < half).astype(np.int64), runs)
-            lo = cell[runs] << shift
-
-            def fraction(point, i):
-                return (point - nodes[runs + 2 * row + i]) / gaps[runs + row + i]
-
-            nd = (2 * left - size) + (
-                2.0 * fraction(lo + half, left) - fraction(lo, 0) - fraction(lo + 2 * half, size)
-            )
-        else:
-            # The tent sum, up to its sign (only its square is used).
-            tau = np.minimum(offset, 2 * half - offset).astype(np.float64)
-            nd = np.add.reduceat(jump * tau, runs)
-        stat_sq[:, j] = np.add.reduceat(nd * nd, np.searchsorted(runs, row_starts)) / n
+    """Squared level statistics ``2**-j sum_k c_jk**2`` of the continuous version:
+    ``sum (n * d)**2 / n`` over a replicate's cells of ``level_cells``."""
+    stat_sq = np.empty((count, cfg.J + 1))
+    levels = level_cells(_uniform_chunk(cfg, start, count), cfg.J, "continuous")
+    for j, (first, _, nd) in enumerate(levels):
+        stat_sq[:, j] = np.add.reduceat(nd * nd, first) / cfg.n
     return ChunkResult(start=start, count=count, payload={"stat_sq": stat_sq})
 
 
@@ -576,15 +495,7 @@ class MomentReport:
 
 def run_moment_experiment(config: ExperimentConfig) -> MomentReport:
     """Estimate every tracked moment of the step-process coefficients."""
-    check_settings(config, "moments")
-    if config.n > MAX_MOMENT_SAMPLE:
-        raise ParameterError("n", f"moment experiment caps n at {MAX_MOMENT_SAMPLE}")
-    # int64 per-cell sums over all replicates: |sum S| <= R*n and sum H <= R*n**2.
-    if config.R * config.n**2 >= 1 << 63:
-        raise ParameterError(
-            "replicates", f"replicates * n**2 must stay below 2**63 (got {config.R} at n={config.n})"
-        )
-    check_held_bytes(config, "moments")
+    check_run(config, "moments")
     parts = run_chunked("moment", config)
     data = aggregate(parts, config.R, _MOMENT_REDUCERS)
     J, n, R = config.J, config.n, config.R
@@ -741,23 +652,18 @@ class ConcentrationReport:
         }
 
 
-def _step_level_sums(cfg: ExperimentConfig) -> np.ndarray:
-    """Per-replicate int64 ``sum_k H`` of the step process, levels ``0..J``.
-
-    The squared level statistic is ``sum_h / n``, so band and deviation
-    events are exact integer comparisons of ``2 * sum_h`` with ``n``.
-    """
-    parts = run_chunked("step_levels", cfg)
-    return aggregate(parts, cfg.R, {"sum_h": "stack"})["sum_h"]
+def _stacked(name: str, cfg: ExperimentConfig, key: str) -> np.ndarray:
+    """Payload ``key`` of every chunk of kernel ``name``, stacked in replicate order."""
+    return aggregate(run_chunked(name, cfg), cfg.R, {key: "stack"})[key]
 
 
 def _level_event_matrix(cfg: ExperimentConfig):
-    """Per-replicate squared level statistic and in-band events."""
+    """Per-replicate squared level statistic and in-band events; the step
+    process's events are exact integer comparisons of its int64 ``sum_k H``."""
     if cfg.process == "empirical-step":
-        sh = _step_level_sums(cfg)
+        sh = _stacked("step_levels", cfg, "sum_h")
         return sh / cfg.n, (2 * sh >= cfg.n) & (2 * sh <= 3 * cfg.n)
-    parts = run_chunked("continuous_levels", cfg)
-    stat_sq = aggregate(parts, cfg.R, {"stat_sq": "stack"})["stat_sq"]
+    stat_sq = _stacked("continuous_levels", cfg, "stat_sq")
     return stat_sq, (stat_sq >= 0.5) & (stat_sq <= 1.5)
 
 
@@ -770,10 +676,9 @@ def run_concentration_experiment(config: ExperimentConfig) -> ConcentrationRepor
     sample sizes, run it once per ``n``: the streams depend only on the seed
     and the replicate index.
     """
-    check_settings(config, "concentration")
-    check_held_bytes(config, "concentration")
+    check_run(config, "concentration")
     n, R = config.n, config.R
-    sh = _step_level_sums(config)
+    sh = _stacked("step_levels", config, "sum_h")
     deviated = (2 * sh <= n) | (2 * sh >= 3 * n)
     rows = []
     for j in range(config.J + 1):
@@ -871,10 +776,7 @@ def run_sandwich_experiment(config: ExperimentConfig) -> SandwichReport:
     the (unsquared) level statistic back the finite-norm and
     nonvanishing-tail surrogates.
     """
-    check_settings(config, "sandwich")
-    if config.J < 10:
-        raise ParameterError("j_max", f"sandwich verification needs j_max >= 10 (got {config.J})")
-    check_held_bytes(config, "sandwich")
+    check_run(config, "sandwich")
     stat_sq, in_band = _level_event_matrix(config)
     return _band_report(
         "sandwich", config, np.sqrt(stat_sq), stat_sq, in_band,
@@ -898,10 +800,8 @@ def run_roynette_experiment(config: ExperimentConfig) -> SandwichReport:
     Bridge and motion share level coefficients, so their reports carry
     identical results for equal seeds.
     """
-    check_settings(config, "roynette")
-    check_held_bytes(config, "roynette")
-    parts = run_chunked("roynette", config)
-    stat = aggregate(parts, config.R, {"stat": "stack"})["stat"]
+    check_run(config, "roynette")
+    stat = _stacked("roynette", config, "stat")
     target = absolute_moment_target(config.p)
     lo = target - config.roynette_band_halfwidth
     hi = target + config.roynette_band_halfwidth

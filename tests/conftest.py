@@ -1,4 +1,7 @@
+import bisect
 import csv
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,3 +59,49 @@ def read_report_csv(path) -> list:
     """Any CSV the CLI emits, as a list of row dicts."""
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def exact_cell_values(sample, J):
+    """``n * d`` for every cell of levels ``0..J`` of the continuous version.
+
+    ``d = 2 F(mid) - F(l) - F(r)`` in rational arithmetic, ``F`` interpolating
+    the nodes of ``continuous_ecdf`` read as exact fractions.  ``F`` is affine
+    on a cell with no knot inside, so only cells holding a knot are evaluated.
+    """
+    from besov_empirica.empirical import continuous_ecdf
+
+    n = sample.n
+    xs = [Fraction(x) for x in continuous_ecdf(sample).xs]
+
+    def cdf(t):
+        i = bisect.bisect_right(xs, t) - 1
+        return Fraction(1) if i == n else (i + (t - xs[i]) / (xs[i + 1] - xs[i])) / n
+
+    out = []
+    for j in range(J + 1):
+        cells = 1 << j
+        level = [Fraction(0)] * cells
+        for k in {math.floor(x * cells) for x in xs[1:-1]}:
+            mid, left, right = Fraction(2 * k + 1, 2 * cells), Fraction(k, cells), Fraction(k + 1, cells)
+            level[k] = n * (2 * cdf(mid) - cdf(left) - cdf(right))
+        out.append(level)
+    return out
+
+
+def dense_continuous_coefficients(sample, J):
+    """The continuous version's coefficients from a dense grid.
+
+    The process ``sqrt(n) (F(t) - t)`` is interpolated at the ``2**(J+1) + 1``
+    points of level ``J + 1`` and second-differenced by
+    ``extract_coefficients``.  An independent reference for the sparse cells
+    of ``level_cells``; it rounds each grid value before the difference, so it
+    is off by a few ``eps * sqrt(n)`` per value.
+    """
+    from besov_empirica.dyadic import DyadicPathValues, extract_coefficients
+    from besov_empirica.empirical import continuous_ecdf
+
+    ecdf = continuous_ecdf(sample)
+    m = 1 << (J + 1)
+    t = np.arange(m + 1, dtype=np.float64) / m
+    alpha = math.sqrt(sample.n) * (np.interp(t, ecdf.xs, ecdf.ys) - t)
+    return extract_coefficients(DyadicPathValues(J=J + 1, values=alpha))

@@ -155,7 +155,7 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {flag[2:]}: ") and err.count("\n") == 1, err
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_line_breaks_escaped_in_diagnostic(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -175,7 +175,7 @@ class TestUsageErrors:
         assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: process: ") and err.count("\n") == 1, err
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv,settings,key",
@@ -196,7 +196,7 @@ class TestUsageErrors:
         assert run_cli(*argv, "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}: ") and err.count("\n") == 1, err
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_moments_memory_cap_before_draws(self, tmp_path, capsys):
         # 2**24 cells: the report and the held chunk sums would need ~14 GiB.
@@ -204,7 +204,7 @@ class TestUsageErrors:
         assert run_cli("verify-moments", "--j-max", "23", "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: j_max: ") and err.count("\n") == 1, err
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv,settings",
@@ -230,7 +230,20 @@ class TestUsageErrors:
         assert run_cli(*argv, "--replicates", str(10**12), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: replicates: ") and err.count("\n") == 1, err
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
+
+    def test_verify_all_checks_every_run_before_out_dir(self, tmp_path, capsys, monkeypatch):
+        # Only the sandwich run needs j_max >= 10; moments and concentration
+        # must not run before that check.
+        def no_draws(name, cfg):
+            raise AssertionError("drew replicates")
+
+        monkeypatch.setattr(montecarlo, "run_chunked", no_draws)
+        out = tmp_path / "o"
+        assert run_cli("verify-all", "--j-max", "8", "--replicates", "100", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: j_max: sandwich") and err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_workers_cap_before_any_pool(self, tmp_path, capsys, monkeypatch):
         def no_pool(workers):
@@ -432,7 +445,7 @@ def test_every_setting_is_read_by_some_experiment():
 
 
 def test_config_schema_types_are_scalars():
-    # ``cli._config_value`` checks strings, integers and finite numbers only.
+    # Config values are read as strings, integers or finite numbers only.
     for key, (_, kind) in montecarlo.config_schema().items():
         assert kind in (str, int, float), key
 
@@ -651,6 +664,156 @@ class TestConfigFuzz:
             )
 
 
+class TestFileReaders:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            b"[]",
+            b'{"J": 1, "values": [0, "a", 0]}',
+            b'{"J": 1, "values": [[0], 1, 0]}',
+            b'{"J": 1, "values": {"0": 0}}',
+            b'{"J": "2", "values": [0, 0, 0, 0, 0]}',
+            b'{"J": 2.5, "values": [0, 0, 0, 0, 0]}',
+            b'{"J": true, "values": [0, 0, 0]}',
+            b'{"J": 1, "values": [0, 1, 0], "units": "m"}',
+            b'{"J": 1, "values": [0, 1, 0], "kind": 3}',
+            b'{"J": 1}',
+            b'{"J": 40, "values": []}',
+            b"\xff\xfe{",
+            b"{",
+        ],
+        ids=[
+            "list", "string-value", "nested-value", "values-object", "string-J", "fractional-J",
+            "boolean-J", "unknown-key", "kind-type", "missing-values", "level-cap", "not-utf8",
+            "not-json",
+        ],
+    )
+    def test_bad_path_file(self, tmp_path, capsys, doc):
+        path = tmp_path / "path.json"
+        path.write_bytes(doc)
+        out = tmp_path / "coeffs.json"
+        assert run_cli("coeffs", "--path", str(path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: path: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            b"[]",
+            b'{"J": 0, "mu0": 0, "mu1": 0, "levels": [["a"]]}',
+            b'{"J": 0, "mu0": 0, "mu1": 0, "levels": [[[0]]]}',
+            b'{"J": 0, "mu0": 0, "mu1": 0, "levels": {"0": [0]}}',
+            b'{"J": 0, "mu0": 0, "mu1": 0, "levels": [0]}',
+            b'{"J": "0", "mu0": 0, "mu1": 0, "levels": [[0]]}',
+            b'{"J": 0.0, "mu0": 0, "mu1": 0, "levels": [[0]]}',
+            b'{"J": 0, "mu0": "x", "mu1": 0, "levels": [[0]]}',
+            b'{"J": 0, "mu0": NaN, "mu1": 0, "levels": [[0]]}',
+            b'{"J": 0, "mu0": 0, "levels": [[0]]}',
+            b'{"J": 0, "mu0": 0, "mu1": 0, "levels": [[0]], "metadata": []}',
+            b'{"J": 0, "mu0": 0, "mu1": 0, "levels": [[0]], "note": 1}',
+            b'{"J": 1, "mu0": 0, "mu1": 0, "levels": [[0]]}',
+            b"\xff\xfe{",
+        ],
+        ids=[
+            "list", "string-value", "nested-value", "levels-object", "level-number", "string-J",
+            "float-J", "string-mu0", "nan-mu0", "missing-mu1", "metadata-list", "unknown-key",
+            "short-levels", "not-utf8",
+        ],
+    )
+    def test_bad_triangle_file(self, tmp_path, capsys, doc):
+        path = tmp_path / "coeffs.json"
+        path.write_bytes(doc)
+        assert run_cli("norm", "--coeffs", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: coeffs: ") and err.count("\n") == 1, err
+
+    def test_missing_files_name_the_reader(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert run_cli("coeffs", "--path", missing, "--out", str(tmp_path / "c.json")) == 1
+        assert run_cli("norm", "--coeffs", missing) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: path: cannot read a JSON file: ")
+        assert err[1].startswith("error: coeffs: cannot read a JSON file: ")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _level_values(j):
+    return st.lists(_FINITE, min_size=(1 << j) + 1, max_size=(1 << j) + 1)
+
+
+#: A path document as ``save_path_json`` writes it.
+_VALID_PATHS = st.integers(0, 3).flatmap(
+    lambda J: st.fixed_dictionaries({"J": st.just(J), "values": _level_values(J)})
+)
+#: A triangle document as ``save_triangle_json`` writes it.
+_VALID_TRIANGLES = st.integers(0, 2).flatmap(
+    lambda J: st.fixed_dictionaries(
+        {
+            "J": st.just(J),
+            "mu0": _FINITE,
+            "mu1": _FINITE,
+            "levels": st.tuples(*(_level_values(j).map(lambda v: v[1:]) for j in range(J + 1))).map(list),
+        }
+    )
+)
+
+
+@st.composite
+def _documents(draw, valid, fields):
+    """A valid document with up to two fields set to any JSON value or
+    dropped, or any JSON value at all."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_JSON_VALUES)
+    doc = draw(valid)
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(fields)) | st.text(max_size=4))
+        if draw(st.booleans()):
+            doc[key] = draw(_JSON_VALUES)
+        else:
+            doc.pop(key, None)
+    return doc
+
+
+class TestFileFuzz:
+    """Any path or triangle document gives a result or one ``error:`` line
+    naming the reader, never a traceback."""
+
+    @staticmethod
+    def _run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, err.getvalue()
+
+    @settings(max_examples=300)
+    @given(doc=_documents(_VALID_PATHS, dyadic._PATH_FIELDS))
+    def test_path_document(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "path.json"), os.path.join(tmp, "coeffs.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            code, err = self._run(["coeffs", "--path", path, "--out", out])
+            if code == 0:
+                assert dyadic.load_triangle_json(out)[0].J == doc["J"] - 1
+            else:
+                assert code == 1 and err.startswith("error: path: ") and err.count("\n") == 1, err
+                assert not os.path.exists(out)
+
+    @settings(max_examples=300)
+    @given(doc=_documents(_VALID_TRIANGLES, dyadic._TRIANGLE_FIELDS))
+    def test_triangle_document(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "coeffs.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            code, err = self._run(["norm", "--coeffs", path])
+            if code != 0:
+                assert code == 1 and err.startswith("error: coeffs: ") and err.count("\n") == 1, err
+
+
 #: A command-line token: numbers of any size and sign, non-numeric text and
 #: line breaks.  Tokens that would ask for ``--help`` are left out, since
 #: argparse answers them with a help page, not a diagnostic.
@@ -700,7 +863,7 @@ class TestArgvFuzz:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (
                 err.getvalue()
             )
-            assert not os.path.exists(out) or not os.listdir(out)
+            assert not os.path.exists(out)
 
 
 def tree_digest(directory) -> str:
@@ -752,6 +915,25 @@ class TestWorkerPool:
         )
         assert result.returncode in (0, 2), result.stderr
         assert "verify-all:" in result.stdout
+
+
+#: Digest of ``verify-sandwich --seed 42 --workers 1 --n 100 --j-max 10
+#: --replicates 200`` on ``empirical-continuous`` (recorded with numpy 2.4),
+#: whose tree lies outside the ``verify-all`` digest.  Same rule as above.
+GOLDEN_CONTINUOUS_SANDWICH_SHA256 = "342f9c719624172aed51398d87aa88f1c1c61a42627efba84bcd144f0a824f80"
+
+
+def test_golden_continuous_sandwich_digest(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"process": "empirical-continuous"}))
+    out = tmp_path / "golden"
+    code = run_cli(
+        "verify-sandwich", "--config", str(cfg), "--seed", "42", "--workers", "1", "--n", "100",
+        "--j-max", "10", "--replicates", "200", "--out", str(out),
+    )
+    # The step-process band does not hold for the continuous version at fine levels.
+    assert code == 2
+    assert tree_digest(out) == GOLDEN_CONTINUOUS_SANDWICH_SHA256
 
 
 def test_golden_verify_all_digest(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from besov_empirica.empirical import (
 from besov_empirica.errors import ParameterError
 from besov_empirica.sampling import SeedSpec, order_statistics, sample_uniform
 
-from conftest import z_indicator
+from conftest import exact_cell_values, z_indicator
 
 
 @pytest.fixture
@@ -239,6 +240,44 @@ class TestEmpiricalCoefficients:
                 bound = 4.0 * 2.0 ** (0.5 * j) * math.sqrt(smp.n) * sup
                 assert gap <= bound * (1 + 1e-9) + 1e-12
                 assert gap <= 4.0 * 2.0 ** (0.5 * j) / math.sqrt(smp.n) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 20, 100])
+    def test_continuous_signed_coefficients_match_rational_arithmetic(self, n):
+        # Exact zeros off the knots' cells; elsewhere c = n * d * 2**(j/2) /
+        # sqrt(n), with n * d off by a few eps (the CDF form's rounding).
+        J = 8
+        for i in range(5):
+            smp = sample_uniform(n, SeedSpec(31, i, 0))
+            tri = empirical_coefficients(smp, J, source="continuous")
+            for j, level in enumerate(exact_cell_values(smp, J)):
+                scale = step_coefficient_scale(j, n)
+                for k, nd in enumerate(level):
+                    want = float(nd) * scale
+                    got = tri.levels[j][k]
+                    assert abs(got - want) <= 1e-12 * abs(want) + 2.0**-46 * scale, (i, j, k)
+                    assert (got == 0) == (nd == 0), (i, j, k)
+
+    def test_continuous_level_statistics_match_rational_arithmetic(self):
+        # A dense grid rounds sqrt(n) (F(t) - t) before the second difference
+        # and missed these by up to 5e-8 relative.  Level 0 of seed 38 (one
+        # knot 3.6e-5 from 1/2, statistic 1e-8) is the worst here: 1.3e-12.
+        for seed in range(40):
+            smp = sample_uniform(2, SeedSpec(seed, 0, 0))
+            tri = empirical_coefficients(smp, 12, source="continuous")
+            for j, level in enumerate(exact_cell_values(smp, 12)):
+                exact = sum(v * v for v in level) / 2
+                got = float(np.sum(tri.levels[j] ** 2)) / (1 << j)
+                assert abs(Fraction(got) - exact) <= 1e-11 * exact, (seed, j)
+
+    def test_continuous_rejects_values_off_the_lattice(self):
+        # Knots of such values are not multiples of 2**-54, so the sparse
+        # cells would be wrong; the step source bins any double exactly.
+        smp = order_statistics([1e-17, 2e-17, 0.5])
+        with pytest.raises(ParameterError) as err:
+            empirical_coefficients(smp, 2, source="continuous")
+        assert err.value.key == "sample"
+        tri = empirical_coefficients(smp, 2, source="step")
+        assert tri.levels[0][0] == 1 / math.sqrt(3)  # scores +1, +1, -1
 
     def test_validation(self):
         smp = sample_uniform(10, SeedSpec(1, 0, 0))

@@ -1,4 +1,3 @@
-import bisect
 import json
 import math
 import time
@@ -12,12 +11,7 @@ from hypothesis import strategies as st
 
 from besov_empirica import montecarlo
 from besov_empirica.besov import BesovParams, level_statistic
-from besov_empirica.empirical import (
-    continuous_ecdf,
-    empirical_coefficients,
-    halfcell_counts,
-    signed_sums_by_level,
-)
+from besov_empirica.empirical import halfcell_counts, signed_sums_by_level
 from besov_empirica.errors import AggregationError, ParameterError
 from besov_empirica.montecarlo import (
     CONFIG_KEYS,
@@ -46,6 +40,8 @@ from besov_empirica.sampling import (
     order_statistics,
     sample_uniform,
 )
+
+from conftest import dense_continuous_coefficients, exact_cell_values
 
 SEED = 42
 
@@ -253,29 +249,10 @@ def _sample_stream(cfg, start, count):
 def _exact_stat_sq(sample, J):
     """``2**-j sum_k c_jk**2`` of the continuous version in rational arithmetic.
 
-    ``c_jk**2 = 2**j * n * (2 F(mid) - F(l) - F(r))**2``, the linear part
-    cancelling; ``F`` interpolates the nodes of ``continuous_ecdf`` read as
-    exact fractions.
+    ``c_jk**2 = 2**j * (n * d)**2 / n``, with ``n * d`` from
+    ``exact_cell_values``.
     """
-    n = sample.n
-    xs = [Fraction(x) for x in continuous_ecdf(sample).xs]
-
-    def cdf(t):
-        i = bisect.bisect_right(xs, t) - 1
-        return Fraction(1) if i == n else (i + (t - xs[i]) / (xs[i + 1] - xs[i])) / n
-
-    out = []
-    for j in range(J + 1):
-        cells = 1 << j
-        out.append(
-            n
-            * sum(
-                (2 * cdf(Fraction(2 * k + 1, 2 * cells)) - cdf(Fraction(k, cells))
-                 - cdf(Fraction(k + 1, cells))) ** 2
-                for k in range(cells)
-            )
-        )
-    return out
+    return [sum(v * v for v in level) / sample.n for level in exact_cell_values(sample, J)]
 
 
 def _assert_exact(got, exact, rel=1e-12):
@@ -308,7 +285,7 @@ class TestContinuousKernel:
         # (n = 2 at fine levels); the rational tests below pin those.
         dc0 = 32 * 2.0**-53 * math.sqrt(n)
         for i, sample in enumerate(_sample_stream(cfg, start, count)):
-            tri = empirical_coefficients(sample, J, source="continuous")
+            tri = dense_continuous_coefficients(sample, J)
             for j in range(J + 1):
                 c, dc = tri.levels[j], dc0 * 2.0 ** (j / 2)
                 want = float(np.sum(c**2)) / (1 << j)
