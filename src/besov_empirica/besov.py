@@ -58,7 +58,9 @@ def level_statistic(coeffs: CoefficientTriangle, j: int, params: BesovParams) ->
     """Weighted per-level l^p statistic ``L_j`` of a triangle."""
     if not 0 <= j <= coeffs.J:
         raise ParameterError("j", f"level must be in [0, {coeffs.J}] (got {j})")
-    power_sum = float(np.sum(np.abs(coeffs.levels[j]) ** params.p))
+    # Huge coefficients overflow to inf, which ``besov_norm`` reports.
+    with np.errstate(over="ignore"):
+        power_sum = float(np.sum(np.abs(coeffs.levels[j]) ** params.p))
     weight = 2.0 ** (-j * _weighted_power_sum_exponent(params))
     return (weight * power_sum) ** (1.0 / params.p)
 
@@ -71,10 +73,13 @@ def level_statistics(coeffs: CoefficientTriangle, params: BesovParams) -> np.nda
 
 
 def besov_norm(coeffs: CoefficientTriangle, params: BesovParams) -> float:
-    """Sup of ``|mu0|``, ``|mu1|`` and every level statistic."""
+    """Sup of ``|mu0|``, ``|mu1|`` and every level statistic; raises
+    ``ParameterError`` when it overflows float64."""
     best = max(abs(coeffs.mu0), abs(coeffs.mu1))
     for j in range(coeffs.J + 1):
         best = max(best, level_statistic(coeffs, j, params))
+    if not math.isfinite(best):
+        raise ParameterError("coeffs", "its Besov norm overflows float64")
     return best
 
 

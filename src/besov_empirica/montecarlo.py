@@ -8,11 +8,13 @@ only on the replicate count.  Partial results are reduced strictly in
 chunk order, so the output is bit-identical no matter how many worker
 processes ran the chunks or in which order they finished.
 
-The empirical chunk kernels are batched: each stacks a chunk's uniform
-samples and sums, level by level, the occupied cells that
-``empirical.level_cells`` yields for the whole chunk, O(n) per level and
-replicate (``empirical_coefficients`` scatters the same cells into a
-triangle).  Step-process payloads are integers (per-replicate level sums of
+The empirical chunk kernels are batched: each draws a chunk's uniform
+samples as one sorted matrix (``sampling.uniform_samples``: the chunk's
+stream keys derived at once, one generator re-keyed per stream) and sums,
+level by level, the occupied cells that ``empirical.level_cells`` yields
+for the whole chunk, O(n) per level and replicate
+(``empirical_coefficients`` scatters the same cells into a triangle).
+Step-process payloads are integers (per-replicate level sums of
 ``H = S**2`` and ``H**2``, per-cell sums of ``S`` and ``H``; per-cell sums
 of ``H**2`` are float64, exact below ``2**53``).  The coefficient scalings
 ``2**(j/2)/sqrt(n)`` and ``2**j/n`` are applied when the report is built.
@@ -54,7 +56,10 @@ from .empirical import empirical_coefficients, halfcell_counts, signed_sums_by_l
 from .errors import AggregationError, ParameterError
 from .gaussian import MAX_SYNTH_LEVEL, brownian_motion, synthesis_draws
 from .oracle import enumeration_oracle, oracle_applicable
-from .sampling import GAUSSIAN_STREAM, UNIFORM_STREAM, SeedSpec, sample_uniform
+from .sampling import GAUSSIAN_STREAM, SeedSpec, uniform_samples
+# Reference-only: ``uniform_samples`` draws the same samples a chunk at a time.
+# perfbench/tracing.py wraps it as this module's attribute.
+from .sampling import sample_uniform  # noqa: F401
 
 PROCESSES = ("empirical-step", "empirical-continuous", "brownian", "bridge")
 
@@ -90,11 +95,13 @@ MAX_RUN_BYTES = 1 << 30
 MAX_LEVEL = MAX_SYNTH_LEVEL - 1
 
 #: Most sample points one chunk may stack (``n * chunk_size``).  The step
-#: kernel peaks near 66 bytes per stacked point (float64 samples, int64
-#: half-cell indices and per-level temporaries, measured at n = 10**4 with
-#: 100 replicates), so 2**22 points stay near 270 MiB, well under 1 GiB.
-#: The continuous kernel also holds knots, nodes, gaps and slope jumps: 95
-#: to 130 bytes per point (n = 10**4 down to 4), so at most about 545 MiB.
+#: kernel peaks near 55 bytes per stacked point (int64 draws and float64
+#: samples, half-cell indices and per-level temporaries; tracemalloc peak of
+#: one chunk at n = 10**4 with 100 replicates), so 2**22 points stay near
+#: 230 MiB, well under 1 GiB.  The continuous kernel also holds knots,
+#: nodes, gaps and slope jumps: 91 to 133 bytes per point (n = 10**4 down
+#: to 4), so at most about 560 MiB.  At n = 2 the per-replicate level sums
+#: dominate: the moment kernel reaches 211 bytes per point at J = 12.
 MAX_CHUNK_POINTS = 1 << 22
 
 #: Most worker processes a run may start.
@@ -367,9 +374,10 @@ def run_chunked(name: str, cfg: ExperimentConfig) -> list:
 
 
 def _uniform_chunk(cfg: ExperimentConfig, start: int, count: int) -> np.ndarray:
-    """The chunk's sorted uniform samples, one replicate a row."""
-    seeds = (SeedSpec(cfg.seed, start + i, UNIFORM_STREAM) for i in range(count))
-    return np.stack([sample_uniform(cfg.n, seed).sorted_values for seed in seeds])
+    """The chunk's sorted uniform samples, one replicate a row: stacked
+    ``sample_uniform`` output, drawn by ``uniform_samples`` with one generator
+    for the chunk."""
+    return uniform_samples(cfg.n, cfg.seed, start, count)
 
 
 def _step_chunk(cfg: ExperimentConfig, start: int, count: int, cells: bool) -> ChunkResult:

@@ -5,6 +5,16 @@ triple fed to a counter-based generator (Philox) through numpy's
 seed-sequence hashing, so distinct triples give statistically independent
 streams and the same triple reproduces the same draws regardless of how
 many worker processes consume them.
+
+``make_generator`` and ``sample_uniform`` build one stream at a time and are
+the reference.  ``uniform_samples`` draws the same samples for a run of
+consecutive streams at once: ``stream_keys`` derives every stream's Philox
+key with numpy's ``SeedSequence`` hash written out in vectorized uint32
+arithmetic (the master seed's share of the hash runs once), and one
+``Philox``/``Generator`` pair, built per call, is re-keyed per stream.  That
+path leans on numpy's ``SeedSequence`` algorithm and ``Philox`` state
+layout; ``tests/test_sampling.py`` pins both to the reference, so a numpy
+change that moves them fails the tests instead of moving a report.
 """
 
 from __future__ import annotations
@@ -21,6 +31,14 @@ GAUSSIAN_STREAM = 1
 
 _U64 = 1 << 64
 _MANTISSA = 1 << 53
+
+# numpy's SeedSequence hash (``numpy/random/bit_generator.pyx``) on 32-bit
+# words: its pool size and hash constants.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -45,6 +63,82 @@ def make_generator(seed: SeedSpec) -> np.random.Generator:
         spawn_key=(int(seed.stream_index), int(seed.substream_label)),
     )
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _words(value: int) -> list:
+    """Little-endian 32-bit words of ``value``, at least one."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+# ``_hashmix`` and ``_mix`` take Python ints or uint32 arrays alike.
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """numpy's ``hashmix``: the hashed word and the next hash constant."""
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ value >> 16, hash_const
+
+
+def _mix(x, y):
+    value = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return value ^ value >> 16
+
+
+def _mix_in(pool: list, hash_const: int, words: list) -> np.ndarray:
+    """Mix the spawn key's ``words`` into a copy of ``pool`` and return
+    ``generate_state(2, np.uint64)`` of the result: one key a row."""
+    pool = list(pool)
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+    hash_const = _INIT_B
+    state = []
+    for word in pool:
+        value, hash_const = _hashmix(word, hash_const, _MULT_B)
+        state.append(value.astype(np.uint64))
+    shift = np.uint64(32)
+    return np.stack([state[0] | state[1] << shift, state[2] | state[3] << shift], axis=1)
+
+
+def stream_keys(master_seed: int, start: int, count: int, substream_label: int) -> np.ndarray:
+    """Philox keys of streams ``start .. start + count - 1``, one ``uint64`` pair a row.
+
+    Row ``i`` equals ``SeedSequence(master_seed, spawn_key=(start + i,
+    substream_label)).generate_state(2, np.uint64)``, the key
+    ``make_generator`` gives its ``Philox``.  The hash reads the master seed,
+    zero-padded to the pool size, then the spawn key's words; only the
+    stream index's words differ between rows, and an index at or above
+    ``2**32`` has two words instead of one.
+    """
+    SeedSpec(master_seed, start, substream_label)
+    SeedSpec(master_seed, start + max(count - 1, 0), substream_label)
+    # The master seed's part of the hash is the same for every stream.
+    run = _words(int(master_seed))
+    hash_const = _INIT_A
+    pool = []
+    for word in run + [0] * (_POOL_SIZE - len(run)):
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+
+    index = int(start) + np.arange(count, dtype=np.uint64)
+    high = (index >> np.uint64(32)).astype(np.uint32)
+    low = index.astype(np.uint32)
+    label = _words(int(substream_label))
+    keys = np.empty((count, 2), dtype=np.uint64)
+    for rows, wide in ((high == 0, False), (high != 0, True)):
+        if rows.any():
+            words = [low[rows], high[rows]] if wide else [low[rows]]
+            keys[rows] = _mix_in(pool, hash_const, words + label)
+    return keys
 
 
 @dataclass(frozen=True)
@@ -92,3 +186,43 @@ def sample_gaussian(n: int, seed: SeedSpec) -> np.ndarray:
     if n < 1:
         raise ParameterError("n", f"need at least 1 draw (got {n})")
     return make_generator(seed).standard_normal(n)
+
+
+def uniform_samples(n: int, master_seed: int, start: int, count: int) -> np.ndarray:
+    """``sample_uniform`` of the uniform streams ``start .. start + count - 1``.
+
+    Returns their sorted values as a ``(count, n)`` float64 matrix, one
+    stream a row, identical to stacking ``sample_uniform(n, SeedSpec(
+    master_seed, start + i, UNIFORM_STREAM)).sorted_values``.  One ``Philox``
+    is set to each stream's key (counter 0, empty buffer, as a fresh one
+    starts) and draws the stream's lattice row; the rows are sorted and
+    checked for range and ties once, on the integers.
+    """
+    if n < 2:
+        raise ParameterError("n", f"need at least 2 observations (got {n})")
+    keys = stream_keys(master_seed, start, count, UNIFORM_STREAM)
+    bit_generator = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_generator)
+    # A fresh Philox's state: counter 0, and its four-word buffer used up.
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    lattice = np.empty((count, n), dtype=np.int64)
+    for row, key in zip(lattice, keys.tolist()):
+        state["state"]["key"] = key
+        bit_generator.state = state
+        row[:] = rng.integers(1, _MANTISSA, size=n)
+    return _lattice_samples(lattice)
+
+
+def _lattice_samples(lattice: np.ndarray) -> np.ndarray:
+    """Rows of lattice draws ``k`` as sorted samples ``k / 2**53``.
+
+    Sorts ``lattice`` in place and raises what ``order_statistics`` raises
+    when a row leaves ``(0, 1)`` or holds a tie.
+    """
+    lattice.sort(axis=1)
+    if lattice.size and (lattice[:, 0].min() <= 0 or lattice[:, -1].max() >= _MANTISSA):
+        raise ParameterError("values", "sample values must lie strictly inside (0, 1)")
+    if np.any(lattice[:, 1:] == lattice[:, :-1]):
+        raise TiesError(f"tied observations in a sample of size {lattice.shape[1]}")
+    return lattice / float(_MANTISSA)

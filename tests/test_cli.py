@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,13 @@ VERIFY_COMMANDS = [
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+@contextlib.contextmanager
+def warnings_as_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
 
 
 def assert_trees_identical(a, b):
@@ -727,6 +735,17 @@ class TestFileReaders:
         assert run_cli("norm", "--coeffs", str(path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: coeffs: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("p", ["1", "2"])
+    def test_norm_overflow(self, tmp_path, capsys, p):
+        # Each coefficient is finite, but |c|**p or the level's sum is not.
+        path, out = tmp_path / "coeffs.json", tmp_path / "norm.json"
+        path.write_bytes(b'{"J": 1, "mu0": 0, "mu1": 0, "levels": [[1e308], [1e308, 1e308]]}')
+        with warnings_as_errors():
+            code = run_cli("norm", "--coeffs", str(path), "--p", p, "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == "error: coeffs: its Besov norm overflows float64\n"
+        assert not out.exists()
 
     def test_missing_files_name_the_reader(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")

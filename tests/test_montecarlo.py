@@ -332,7 +332,10 @@ class TestContinuousKernel:
     )
     def test_knots_on_cell_edges(self, monkeypatch, values, zero_from):
         sample = order_statistics(values)
-        monkeypatch.setattr(montecarlo, "sample_uniform", lambda n, seed: sample)
+        monkeypatch.setattr(
+            montecarlo, "_uniform_chunk",
+            lambda cfg, start, count: np.tile(sample.sorted_values, (count, 1)),
+        )
         cfg = ExperimentConfig(process="empirical-continuous", n=sample.n, J=12)
         got = _continuous_levels_chunk(cfg, 0, 2).payload["stat_sq"]
         exact = _exact_stat_sq(sample, cfg.J)

@@ -2,16 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from besov_empirica.errors import ParameterError, TiesError
 from besov_empirica.sampling import (
+    UNIFORM_STREAM,
     EmpiricalSample,
     SeedSpec,
+    _lattice_samples,
     make_generator,
     order_statistics,
     sample_gaussian,
     sample_uniform,
+    stream_keys,
+    uniform_samples,
 )
 
 SEED = 42
@@ -78,6 +84,75 @@ class TestUniform:
     def test_too_small(self):
         with pytest.raises(ParameterError):
             sample_uniform(1, SeedSpec(SEED))
+
+
+@st.composite
+def _chunks(draw, max_count):
+    """``(start, count)`` of consecutive streams, often next to ``2**32`` or
+    at the top of the index range."""
+    start = draw(
+        st.integers(0, 2**64 - 1)
+        | st.integers(2**32 - max_count, 2**32 + max_count)
+        | st.integers(2**64 - max_count, 2**64 - 1)
+        | st.integers(0, 10**6)
+    )
+    return start, draw(st.integers(1, min(max_count, 2**64 - start)))
+
+
+# The batched path re-implements numpy's SeedSequence hash and re-keys one
+# Philox per stream; these tests fail when numpy moves either.
+class TestBatchedStreams:
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**64 - 1), chunk=_chunks(40), label=st.sampled_from([0, 1]))
+    @example(seed=42, chunk=(2**32 - 5, 10), label=0)
+    @example(seed=2**64 - 1, chunk=(2**64 - 10, 10), label=1)
+    def test_keys_match_seed_sequence(self, seed, chunk, label):
+        start, count = chunk
+        want = [
+            np.random.SeedSequence(seed, spawn_key=(start + i, label)).generate_state(2, np.uint64)
+            for i in range(count)
+        ]
+        got = stream_keys(seed, start, count, label)
+        assert got.dtype == np.uint64 and got.shape == (count, 2)
+        np.testing.assert_array_equal(got, np.array(want))
+
+    @settings(max_examples=60)
+    @given(n=st.integers(2, 60), seed=st.integers(0, 2**64 - 1), chunk=_chunks(6))
+    @example(n=100, seed=42, chunk=(2**32 - 3, 6))
+    def test_samples_match_sample_uniform(self, n, seed, chunk):
+        start, count = chunk
+        want = [
+            sample_uniform(n, SeedSpec(seed, start + i, UNIFORM_STREAM)).sorted_values
+            for i in range(count)
+        ]
+        got = uniform_samples(n, seed, start, count)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.stack(want))
+
+    def test_stream_index_range(self):
+        with pytest.raises(ParameterError):
+            stream_keys(SEED, 2**64 - 2, 3, 0)
+        with pytest.raises(ParameterError):
+            uniform_samples(3, SEED, -1, 2)
+        with pytest.raises(ParameterError):
+            uniform_samples(1, SEED, 0, 2)
+
+    def test_planted_tie_raises_as_sample_uniform(self):
+        lattice = np.array([[5, 9, 1], [2**52, 7, 2**52]], dtype=np.int64)
+        with pytest.raises(TiesError) as want:
+            order_statistics(lattice[1] / 2**53)
+        with pytest.raises(TiesError) as got:
+            _lattice_samples(lattice)
+        assert str(got.value) == str(want.value) == "tied observations in a sample of size 3"
+
+    @pytest.mark.parametrize("planted", [0, 2**53])
+    def test_planted_endpoint_raises_as_sample_uniform(self, planted):
+        lattice = np.array([[5, 9, 1], [3, planted, 4]], dtype=np.int64)
+        with pytest.raises(ParameterError) as want:
+            order_statistics(lattice[1] / 2**53)
+        with pytest.raises(ParameterError) as got:
+            _lattice_samples(lattice)
+        assert str(got.value) == str(want.value)
 
 
 class TestGaussian:
