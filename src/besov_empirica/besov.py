@@ -169,24 +169,20 @@ def modulus_of_continuity(
     return best
 
 
-def p_monotonicity_check(
-    coeffs: CoefficientTriangle, p1: float, p2: float, alpha: float = 0.5
-) -> bool:
+def p_monotonicity_check(coeffs: CoefficientTriangle, p1: float, p2: float) -> bool:
     """Check the power-mean ordering between ``p1 <= p2`` on every level.
 
     Verifies ``(2**-j sum |c|**p1)**(1/p1) <= (2**-j sum |c|**p2)**(1/p2)``
     level by level, a finite witness that membership statements at ``p2``
-    extend down to smaller ``p``.  Always true mathematically; a relative
-    slack of 1e-12 absorbs rounding at near-equality.
+    extend down to smaller ``p``.  These are the level statistics at
+    ``alpha = 1/2``.  Always true mathematically; a relative slack of 1e-12
+    absorbs rounding at near-equality.
     """
     if not 1.0 <= p1 <= p2:
         raise ParameterError("p1", f"need 1 <= p1 <= p2 (got p1={p1}, p2={p2})")
-    BesovParams(p=p2, alpha=alpha)  # domain check for the pair
+    low, high = BesovParams(p=p1, alpha=0.5), BesovParams(p=p2, alpha=0.5)
     for j in range(coeffs.J + 1):
-        mean_weight = 2.0 ** (-j)
-        a = np.abs(coeffs.levels[j])
-        m1 = (mean_weight * float(np.sum(a**p1))) ** (1.0 / p1)
-        m2 = (mean_weight * float(np.sum(a**p2))) ** (1.0 / p2)
+        m1, m2 = level_statistic(coeffs, j, low), level_statistic(coeffs, j, high)
         if m1 > m2 * (1.0 + 1e-12) + 1e-300:
             return False
     return True

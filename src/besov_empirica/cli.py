@@ -13,8 +13,6 @@ output trees are byte-identical across runs and worker counts.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 
@@ -69,21 +67,9 @@ def _out_dir(args) -> str:
     return out
 
 
-def _write_json(path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _write_csv(path, header, rows) -> None:
-    def cell(value):
-        return repr(float(value)) if isinstance(value, float) else value
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([cell(v) for v in row])
+# Called through this module's globals, so a replaced attribute takes effect.
+_write_json = dyadic.write_json
+_write_csv = dyadic.write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -130,35 +116,20 @@ def emit_plot_data(obj, path) -> None:
         _write_csv(path, header, rows)
         return
     if isinstance(obj, montecarlo.MomentReport):
-        header = ["j", "k", "mean_alpha", "se_alpha", "mean_g", "se_g", "mean_h", "se_h"]
-        rows = []
-        for j in sorted(obj.cell_stats):
-            stats = obj.cell_stats[j]
-            for k0 in range(len(stats["mean_g"])):
-                rows.append(
-                    [
-                        j,
-                        k0 + 1,
-                        stats["mean_alpha"][k0],
-                        stats["se_alpha"][k0],
-                        stats["mean_g"][k0],
-                        stats["se_g"][k0],
-                        stats["mean_h"][k0],
-                        stats["se_h"][k0],
-                    ]
-                )
-        _write_csv(path, header, rows)
+        # One row per cell, one column per per-cell estimate.
+        rows = [
+            [j, k0 + 1, *values]
+            for j, stats in sorted(obj.cell_stats.items())
+            for k0, values in enumerate(zip(*stats.values()))
+        ]
+        _write_csv(path, ["j", "k", *obj.cell_stats[0]], rows)
         return
     raise ParameterError("plot_data", f"no plot emitter for {type(obj).__name__}")
 
 
 def _emit_moment_levels_csv(report: montecarlo.MomentReport, path) -> None:
-    keys = list(report.level_stats)
-    rows = [
-        [j] + [report.level_stats[key][j] for key in keys]
-        for j in range(report.config.J + 1)
-    ]
-    _write_csv(path, ["j"] + keys, rows)
+    rows = [[j, *values] for j, values in enumerate(zip(*report.level_stats.values()))]
+    _write_csv(path, ["j", *report.level_stats], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +154,9 @@ def _cmd_simulate_bm(args) -> int:
     path = gaussian.brownian_motion(args.j_max, SeedSpec(args.seed, 0))
     if args.bridge:
         path = gaussian.brownian_bridge(path)
-    dyadic.save_path_json(
-        path.path,
-        args.out,
-        extra={
-            "kind": path.kind,
-            "seed": args.seed,
-            "triangle": dyadic.triangle_to_dict(path.triangle),
-        },
-    )
+    triangle = dyadic.triangle_to_dict(path.triangle)
+    extra = {"kind": path.kind, "seed": args.seed, "triangle": triangle}
+    dyadic.save_path_json(path.path, args.out, extra=extra)
     print(f"wrote {args.out}")
     return 0
 

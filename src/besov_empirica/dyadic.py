@@ -152,8 +152,25 @@ def scale_triangle(coeffs: CoefficientTriangle, c: float) -> CoefficientTriangle
 # ---------------------------------------------------------------------------
 # Serialization.  JSON uses Python's shortest-repr floats, so a dump/load
 # round trip is bit exact.  The CSV form is the flat (j, k, value) table with
-# 1-based k and carries the level coefficients only.
+# 1-based k and carries the level coefficients only.  ``write_json`` and
+# ``write_csv`` write every JSON document and CSV table of the package.
 # ---------------------------------------------------------------------------
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` with sorted keys, two-space indent and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows; floats are written in shortest repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def triangle_to_dict(coeffs: CoefficientTriangle) -> dict:
@@ -203,9 +220,7 @@ def save_triangle_json(coeffs, path, metadata: dict | None = None) -> None:
     doc = triangle_to_dict(coeffs)
     if metadata is not None:
         doc["metadata"] = metadata
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_triangle_json(path):
@@ -215,12 +230,10 @@ def load_triangle_json(path):
 
 
 def write_triangle_csv(coeffs: CoefficientTriangle, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "k", "value"])
-        for j, lev in enumerate(coeffs.levels):
-            for k0, value in enumerate(lev):
-                writer.writerow([j, k0 + 1, repr(float(value))])
+    rows = (
+        [j, k0 + 1, value] for j, lev in enumerate(coeffs.levels) for k0, value in enumerate(lev)
+    )
+    write_csv(path, ["j", "k", "value"], rows)
 
 
 def read_triangle_csv(path) -> CoefficientTriangle:
@@ -258,12 +271,7 @@ def path_from_dict(data: dict) -> DyadicPathValues:
 
 
 def save_path_json(path_values, path, extra: dict | None = None) -> None:
-    doc = path_to_dict(path_values)
-    if extra:
-        doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, {**path_to_dict(path_values), **(extra or {})})
 
 
 def load_path_json(path) -> DyadicPathValues:

@@ -107,6 +107,12 @@ MAX_CHUNK_POINTS = 1 << 22
 #: Most worker processes a run may start.
 MAX_WORKERS = 64
 
+#: Largest integrability exponent ``p`` a run accepts.  The Gaussian kernel
+#: sums ``|g|**p`` over at most ``2**23`` draws of a level; with every
+#: ``|g| <= 10`` that sum stays finite up to this power of two, since
+#: ``10**256 * 2**23 < 1.8e308``.
+MAX_P = 256
+
 #: Config keys whose name differs from their ``ExperimentConfig`` field.
 CONFIG_KEYS = {"J": "j_max", "R": "replicates"}
 
@@ -175,6 +181,8 @@ class ExperimentConfig:
         if not 0 <= self.seed < (1 << 64):
             raise ParameterError("seed", f"must be an unsigned 64-bit integer (got {self.seed})")
         BesovParams(p=self.p, alpha=0.5)
+        if self.p > MAX_P:
+            raise ParameterError("p", f"must be <= {MAX_P} (got {self.p})")
         if self.roynette_band_halfwidth <= 0.0:
             raise ParameterError("roynette_band_halfwidth", "must be positive")
         if self.workers < 1:
@@ -465,11 +473,26 @@ _CHUNK_FUNCTIONS = {
 
 
 def _mean_se(values: np.ndarray):
-    R = len(values)
-    mean = float(np.mean(values))
-    if R < 2:
-        return mean, float("nan")
-    return mean, float(np.std(values, ddof=1) / math.sqrt(R))
+    """Mean and standard error of at least two values."""
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(len(values)))
+
+
+def _mean_se_of_sums(total, total_sq, R: int):
+    """Mean and standard error of ``R`` values given their sum and sum of squares."""
+    mean = total / R
+    var = np.maximum(total_sq - R * mean**2, 0.0) / (R - 1)
+    return mean, np.sqrt(var / R)
+
+
+#: Oracle moment -> the ``level_stats`` keys of its estimate and its standard
+#: error, in the order an oracle block lists its comparisons.
+_ORACLE_ESTIMATES = {
+    "e_h": ("mean_h_pooled", "se_h_pooled"),
+    "e_h2": ("mean_h2_pooled", "se_h2_pooled"),
+    "var_g": ("var_g_pooled", "se_var_g_pooled"),
+    "e_hh": ("mean_pair", "se_pair"),
+    "var_sum_g": ("var_sum_g", "se_var_sum_g"),
+}
 
 
 @dataclass
@@ -510,118 +533,89 @@ def run_moment_experiment(config: ExperimentConfig) -> MomentReport:
 
     cell_stats = {}
     for j in range(J + 1):
-        lo = (1 << j) - 1
-        hi = lo + (1 << j)
+        cells = slice((1 << j) - 1, (2 << j) - 1)
+        s, h, h2 = data["cell_sum_s"][cells], data["cell_sum_h"][cells], data["cell_sum_h2"][cells]
         # alpha = scale * S and G = 2**j/n * H, so alpha**2 = G.
         g_scale = (1 << j) / n
-        sum_g = data["cell_sum_h"][lo:hi] * g_scale
-        mean_alpha = data["cell_sum_s"][lo:hi] * step_coefficient_scale(j, n) / R
-        mean_g = sum_g / R
-        var_alpha = np.maximum(sum_g - R * mean_alpha**2, 0.0) / (R - 1)
-        var_g = np.maximum(data["cell_sum_h2"][lo:hi] * g_scale**2 - R * mean_g**2, 0.0) / (R - 1)
-        mean_h = data["cell_sum_h"][lo:hi] / R
-        var_h = np.maximum(data["cell_sum_h2"][lo:hi] - R * mean_h**2, 0.0) / (R - 1)
-        cell_stats[j] = {
-            "mean_alpha": mean_alpha.tolist(),
-            "se_alpha": np.sqrt(var_alpha / R).tolist(),
-            "mean_g": mean_g.tolist(),
-            "se_g": np.sqrt(var_g / R).tolist(),
-            "mean_h": mean_h.tolist(),
-            "se_h": np.sqrt(var_h / R).tolist(),
+        sums = {
+            "alpha": (s * step_coefficient_scale(j, n), h * g_scale),
+            "g": (h * g_scale, h2 * g_scale**2),
+            "h": (h, h2),
         }
+        cell_stats[j] = {}
+        for name, (total, total_sq) in sums.items():
+            mean, se = _mean_se_of_sums(total, total_sq, R)
+            cell_stats[j][f"mean_{name}"] = mean.tolist()
+            cell_stats[j][f"se_{name}"] = se.tolist()
 
-    level_stats = {
-        "mean_h_pooled": [],
-        "se_h_pooled": [],
-        "mean_h2_pooled": [],
-        "se_h2_pooled": [],
-        "mean_pair": [],
-        "se_pair": [],
-        "var_g_pooled": [],
-        "se_var_g_pooled": [],
-        "mean_sum_g": [],
-        "se_sum_g": [],
-        "var_sum_g": [],
-        "se_var_sum_g": [],
-    }
+    level_stats = {}
     for j in range(J + 1):
         k_cells = 1 << j
         a = data["sum_h2"][:, j] / k_cells  # per-replicate mean of H**2
         b = data["sum_h"][:, j] / k_cells  # per-replicate mean of H
         mh, se_mh = _mean_se(b)
         mh2, se_mh2 = _mean_se(a)
-        level_stats["mean_h_pooled"].append(mh)
-        level_stats["se_h_pooled"].append(se_mh)
-        level_stats["mean_h2_pooled"].append(mh2)
-        level_stats["se_h2_pooled"].append(se_mh2)
+        mp, se_mp = float("nan"), float("nan")
         if k_cells >= 2:
             # Mean of H_k H_k' over ordered pairs of distinct cells; the
             # int64 numerator is at most n**4 and exact.
             pair = (data["sum_h"][:, j] ** 2 - data["sum_h2"][:, j]) / (k_cells * (k_cells - 1))
             mp, se_mp = _mean_se(pair)
-        else:
-            mp, se_mp = float("nan"), float("nan")
-        level_stats["mean_pair"].append(mp)
-        level_stats["se_pair"].append(se_mp)
         # Var(G) via the plug-in E[H^2] - E[H]^2, delta-method standard error.
         g_scale_sq = ((1 << j) / n) ** 2
-        var_h_pooled = mh2 - mh**2
         influence = (a - mh2) - 2.0 * mh * (b - mh)
-        se_var_h = float(np.std(influence, ddof=1) / math.sqrt(R))
-        level_stats["var_g_pooled"].append(g_scale_sq * var_h_pooled)
-        level_stats["se_var_g_pooled"].append(g_scale_sq * se_var_h)
         t = ((1 << j) / n) * data["sum_h"][:, j]
         mt, se_mt = _mean_se(t)
-        level_stats["mean_sum_g"].append(mt)
-        level_stats["se_sum_g"].append(se_mt)
-        vt = float(np.var(t, ddof=1))
-        se_vt = float(np.std((t - mt) ** 2, ddof=1) / math.sqrt(R))
-        level_stats["var_sum_g"].append(vt)
-        level_stats["se_var_sum_g"].append(se_vt)
+        level = {
+            "mean_h_pooled": mh,
+            "se_h_pooled": se_mh,
+            "mean_h2_pooled": mh2,
+            "se_h2_pooled": se_mh2,
+            "mean_pair": mp,
+            "se_pair": se_mp,
+            "var_g_pooled": g_scale_sq * (mh2 - mh**2),
+            "se_var_g_pooled": g_scale_sq * float(np.std(influence, ddof=1) / math.sqrt(R)),
+            "mean_sum_g": mt,
+            "se_sum_g": se_mt,
+            "var_sum_g": float(np.var(t, ddof=1)),
+            "se_var_sum_g": float(np.std((t - mt) ** 2, ddof=1) / math.sqrt(R)),
+        }
+        for key, value in level.items():
+            level_stats.setdefault(key, []).append(value)
 
     oracle_blocks = []
-    mismatch = False
-    oracle_ok = True
     for j in range(min(J, ORACLE_LEVEL_CAP) + 1):
         if not oracle_applicable(n, j):
             continue
         om = enumeration_oracle(n, j)
-        comparisons = []
-
-        def compare(name, estimate, se, exact):
-            nonlocal oracle_ok
-            within = abs(estimate - float(exact)) <= ORACLE_SE_MULTIPLIER * se
-            oracle_ok = oracle_ok and within
-            comparisons.append(
+        block = om.as_dict()
+        block["comparisons"] = []
+        for moment, (estimate_key, se_key) in _ORACLE_ESTIMATES.items():
+            exact = getattr(om, moment)
+            if exact is None:  # e_hh at j = 0, which has a single cell
+                continue
+            estimate, se = level_stats[estimate_key][j], level_stats[se_key][j]
+            block["comparisons"].append(
                 {
-                    "moment": name,
+                    "moment": moment,
                     "estimate": estimate,
                     "se": se,
                     "oracle": float(exact),
                     "oracle_fraction": str(exact),
-                    "within": within,
+                    "within": abs(estimate - float(exact)) <= ORACLE_SE_MULTIPLIER * se,
                 }
             )
-
-        compare("e_h", level_stats["mean_h_pooled"][j], level_stats["se_h_pooled"][j], om.e_h)
-        compare("e_h2", level_stats["mean_h2_pooled"][j], level_stats["se_h2_pooled"][j], om.e_h2)
-        compare("var_g", level_stats["var_g_pooled"][j], level_stats["se_var_g_pooled"][j], om.var_g)
-        if om.e_hh is not None:
-            compare("e_hh", level_stats["mean_pair"][j], level_stats["se_pair"][j], om.e_hh)
-        compare("var_sum_g", level_stats["var_sum_g"][j], level_stats["se_var_sum_g"][j], om.var_sum_g)
-        mismatch = mismatch or not om.var_sum_g_matches_nominal
-        block = om.as_dict()
-        block["comparisons"] = comparisons
         oracle_blocks.append(block)
+    oracle_ok = all(c["within"] for block in oracle_blocks for c in block["comparisons"])
+    mismatch = not all(block["var_sum_g_matches_nominal"] for block in oracle_blocks)
 
     max_level = min(COVERAGE_MAX_LEVEL, J)
-    hits = 0
-    total = 0
-    for j in range(max_level + 1):
-        mean_g = np.asarray(cell_stats[j]["mean_g"])
-        se_g = np.asarray(cell_stats[j]["se_g"])
-        hits += int(np.sum(np.abs(mean_g - 1.0) <= COVERAGE_SE_MULTIPLIER * se_g))
-        total += len(mean_g)
+    covered = [
+        abs(mean - 1.0) <= COVERAGE_SE_MULTIPLIER * se
+        for j in range(max_level + 1)
+        for mean, se in zip(cell_stats[j]["mean_g"], cell_stats[j]["se_g"])
+    ]
+    hits, total = sum(covered), len(covered)
     coverage = {
         "fraction": hits / total,
         "hits": hits,

@@ -165,6 +165,27 @@ class TestUsageErrors:
         assert err.startswith(f"error: {flag[2:]}: ") and err.count("\n") == 1, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["verify-roynette", "verify-all"])
+    def test_exponent_above_cap_rejected(self, tmp_path, capsys, command):
+        # Above the cap a Gaussian level's sum of |g|**p overflows float64.
+        out = tmp_path / "o"
+        code = run_cli(command, "--p", "2000", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: p: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_exponent_at_cap_runs_without_warning(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        with warnings_as_errors():
+            code = run_cli(
+                "verify-roynette", "--p", str(montecarlo.MAX_P), "--replicates", "100",
+                "--j-max", "6", "--out", str(out),
+            )
+        assert code in (0, 2)
+        report = (out / "roynette.json").read_text()
+        assert "Infinity" not in report and "NaN" not in report
+
     def test_line_breaks_escaped_in_diagnostic(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"a\nb": 1}))
@@ -424,6 +445,21 @@ def test_readme_lists_config_keys():
     documented = re.findall(r"`([a-z_]+)`", match.group(2))
     assert int(match.group(1)) == len(documented)
     assert documented == list(montecarlo.config_schema())
+
+
+def test_readme_lists_moments_csv_headers(tmp_path, capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    out = tmp_path / "moments"
+    code = run_cli(
+        "verify-moments", "--n", "3", "--j-max", "6", "--replicates", "100", "--out", str(out)
+    )
+    assert code in (0, 2)
+    for name in ("moments_cells.csv", "moments_levels.csv"):
+        match = re.search(rf"`{re.escape(name)}`: `([^`]*)`", text)
+        assert match, f"README lost the header of {name}"
+        assert match.group(1) == (out / name).read_text().splitlines()[0]
 
 
 def test_readme_lists_settings_each_command_reads():
@@ -964,3 +1000,21 @@ def test_golden_verify_all_digest(tmp_path, capsys):
     # 200 replicates are too few for the moments coverage rule at n=100.
     assert code == 2
     assert tree_digest(out) == GOLDEN_VERIFY_ALL_SHA256
+
+
+#: Digest of ``verify-moments --seed 42 --workers 1 --n 3 --j-max 6
+#: --replicates 2000`` (recorded with numpy 2.4), the one golden tree that
+#: holds oracle blocks (j=0..3).  Same rule as above.
+GOLDEN_ORACLE_MOMENTS_SHA256 = "86d96f1696b00b31d42203e22497a4bd2b703518445e4424ee024f1ad5293658"
+
+
+def test_golden_oracle_moments_digest(tmp_path, capsys):
+    out = tmp_path / "golden"
+    code = run_cli(
+        "verify-moments", "--seed", "42", "--workers", "1", "--n", "3", "--j-max", "6",
+        "--replicates", "2000", "--out", str(out),
+    )
+    assert code == 0
+    report = json.loads((out / "moments.json").read_text())
+    assert [block["j"] for block in report["results"]["oracle"]] == [0, 1, 2, 3]
+    assert tree_digest(out) == GOLDEN_ORACLE_MOMENTS_SHA256
