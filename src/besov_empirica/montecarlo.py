@@ -27,9 +27,14 @@ The Gaussian kernel reads level statistics straight from the synthesis
 draws, which are the path's level coefficients: it rebuilds no path and
 builds no triangle, and a bridge shares the motion's statistics.
 
-Runs with more than one worker share one spawn pool per process: it starts
-on the first such call, is reused by every later call with the same worker
-count, and is terminated at interpreter exit.
+Runs with more than one worker share one pool per process: it starts on
+the first such call, is reused by every later call with the same worker
+count, and is terminated at interpreter exit.  On Linux its workers are
+forked, so they inherit the imported package instead of importing it again;
+elsewhere they are spawned (Windows has no fork, and macOS system libraries
+are not fork-safe).  Forking is safe here because the parent calls no BLAS
+routine before the pool starts, holds no report yet, and runs no thread of
+its own (OpenBLAS's parked pool thread aside).
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import atexit
 import itertools
 import math
 import multiprocessing
+import sys
 import threading
 from dataclasses import dataclass, fields
 from functools import partial
@@ -100,9 +106,21 @@ MAX_LEVEL = MAX_SYNTH_LEVEL - 1
 #: one chunk at n = 10**4 with 100 replicates), so 2**22 points stay near
 #: 230 MiB, well under 1 GiB.  The continuous kernel also holds knots,
 #: nodes, gaps and slope jumps: 91 to 133 bytes per point (n = 10**4 down
-#: to 4), so at most about 560 MiB.  At n = 2 the per-replicate level sums
-#: dominate: the moment kernel reaches 211 bytes per point at J = 12.
+#: to 4), so at most about 560 MiB.  At small n the per-replicate level sums
+#: dominate; ``CHUNK_PEAK_BYTES`` counts both.
 MAX_CHUNK_POINTS = 1 << 22
+
+#: Kernel -> bytes one running chunk holds at its peak per sample point, per
+#: replicate and level, and per finest cell (``2**(J+1)``, the moment
+#: kernel's dense sums or a Gaussian replicate's draws).  Rounded up from
+#: tracemalloc peaks of one chunk at n = 2 .. 10**4 and J = 6 .. 20, the
+#: pickled result included.
+CHUNK_PEAK_BYTES = {
+    "moment": (90, 64, 76),
+    "step_levels": (84, 32, 0),
+    "continuous_levels": (136, 32, 0),
+    "roynette": (0, 32, 20),
+}
 
 #: Most worker processes a run may start.
 MAX_WORKERS = 64
@@ -237,6 +255,8 @@ def check_run(config: ExperimentConfig, kind: str) -> None:
     interpreter, -2% to +15% of peaks measured at J = 12..19); else 32 bytes
     a replicate and level, plus 160 a replicate for a band report's lists
     (30 to 90% over peaks measured at n = 10, R = 2 * 10**5, J = 10 and 20).
+    On top come the ``CHUNK_PEAK_BYTES`` of every chunk that runs at once,
+    one per worker up to the chunk count.
     """
     check_settings(config, kind)
     n, J, R = config.n, config.J, config.R
@@ -251,21 +271,33 @@ def check_run(config: ExperimentConfig, kind: str) -> None:
     if kind == "sandwich" and J < 10:
         raise ParameterError("j_max", f"sandwich verification needs j_max >= 10 (got {J})")
 
-    def held_at(replicates):
-        if kind == "moments":
-            chunks = -(-replicates // config.chunk_size)
-            return (1 << (J + 1)) * (400 + 24 * chunks) + 48 * replicates * (J + 1)
-        per_replicate = 32 * (J + 1) + (0 if kind == "concentration" else 160)
-        return per_replicate * replicates
+    kernel = "moment" if kind == "moments" else _LEVEL_KERNELS[config.process]
+    per_point, per_level, per_cell = CHUNK_PEAK_BYTES[kernel]
 
-    held = held_at(R)
+    def held_at(replicates, workers):
+        chunks = -(-replicates // config.chunk_size)
+        count = min(config.chunk_size, replicates)
+        running = min(workers, chunks) * (
+            count * (per_point * n + per_level * (J + 1)) + per_cell * (1 << (J + 1))
+        )
+        if kind == "moments":
+            return running + (1 << (J + 1)) * (400 + 24 * chunks) + 48 * replicates * (J + 1)
+        per_replicate = 32 * (J + 1) + (0 if kind == "concentration" else 160)
+        return running + per_replicate * replicates
+
+    held = held_at(R, config.workers)
     if held > MAX_RUN_BYTES:
-        # Blame the replicates unless even the fewest would not fit.
-        key = "replicates" if held_at(100) <= MAX_RUN_BYTES else "j_max"
+        # Blame the workers if one would do, else the replicates unless even
+        # the fewest would not fit.
+        if held_at(R, 1) <= MAX_RUN_BYTES:
+            key = "workers"
+        else:
+            key = "replicates" if held_at(100, 1) <= MAX_RUN_BYTES else "j_max"
         raise ParameterError(
             key,
             f"the {kind} run would hold about {held >> 20} MiB, over its {MAX_RUN_BYTES >> 20}"
-            f" MiB cap (j_max {J}, replicates {R}, chunk_size {config.chunk_size})",
+            f" MiB cap (j_max {J}, replicates {R}, chunk_size {config.chunk_size},"
+            f" workers {config.workers})",
         )
 
 
@@ -325,6 +357,9 @@ def _chunk_specs(R: int, chunk_size: int):
     return [(start, min(chunk_size, R - start)) for start in range(0, R, chunk_size)]
 
 
+#: Start method of the worker pool: ``fork`` on Linux, ``spawn`` elsewhere.
+POOL_START_METHOD = "fork" if sys.platform.startswith("linux") else "spawn"
+
 #: This process's worker pool as ``(worker count, pool)`` once started.
 _pool = None
 _pool_lock = threading.RLock()
@@ -341,7 +376,8 @@ def shutdown_pool() -> None:
 
 
 def _worker_pool(workers: int):
-    """The spawn pool of this process, started on first use.
+    """The worker pool of this process, started on first use with
+    ``POOL_START_METHOD``.
 
     A request for another worker count replaces it.
     """
@@ -350,7 +386,8 @@ def _worker_pool(workers: int):
         if _pool is not None and _pool[0] != workers:
             shutdown_pool()
         if _pool is None:
-            _pool = (workers, multiprocessing.get_context("spawn").Pool(processes=workers))
+            context = multiprocessing.get_context(POOL_START_METHOD)
+            _pool = (workers, context.Pool(processes=workers))
         return _pool[1]
 
 
@@ -360,8 +397,9 @@ atexit.register(shutdown_pool)
 def run_chunked(name: str, cfg: ExperimentConfig) -> list:
     """Run all chunks of an experiment, serially or on the process's pool.
 
-    The kernels are module functions or ``partial``s of them, so a spawned
-    worker unpickles them by reference.
+    The kernels are module functions or ``partial``s of them, pickled by
+    reference: a forked worker finds them in the module it inherited, a
+    spawned one in the module it imports.
     """
     kernel = _CHUNK_FUNCTIONS[name]
     args = [(cfg, start, count) for start, count in _chunk_specs(cfg.R, cfg.chunk_size)]
@@ -458,6 +496,14 @@ def _roynette_chunk(cfg: ExperimentConfig, start: int, count: int) -> ChunkResul
             stats[i, j] = (2.0 ** -j * power_sum) ** (1.0 / p)
     return ChunkResult(start=start, count=count, payload={"stat": stats})
 
+
+#: Per-replicate level kernel of each process.
+_LEVEL_KERNELS = {
+    "empirical-step": "step_levels",
+    "empirical-continuous": "continuous_levels",
+    "brownian": "roynette",
+    "bridge": "roynette",
+}
 
 _CHUNK_FUNCTIONS = {
     "moment": partial(_step_chunk, cells=True),

@@ -55,6 +55,15 @@ def z_indicator(u: float, j: int, k: int) -> int:
     return 0
 
 
+class ReachedDraws(Exception):
+    """Raised in place of a run's first chunk: every pre-draw check passed."""
+
+
+def reach_draws(name, cfg):
+    """A ``montecarlo.run_chunked`` stand-in that stops a run at its first draw."""
+    raise ReachedDraws(name)
+
+
 def read_report_csv(path) -> list:
     """Any CSV the CLI emits, as a list of row dicts."""
     with open(path, newline="") as fh:

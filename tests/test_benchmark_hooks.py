@@ -1,9 +1,10 @@
-"""The benchmark's hooks into the package still resolve.
+"""The benchmark's hooks into the package still resolve, and its workloads
+still pass the package's pre-draw checks.
 
 perfbench/tracing.py wraps module attributes by name, and its pool probe
-runs a chunk kernel by name; a rename or a dropped reference import would
-otherwise only fail inside the benchmark.  The perfbench modules are loaded
-from their files and left unchanged.
+runs a chunk kernel by name; a rename, a dropped reference import or a
+tightened bound would otherwise only fail inside the benchmark.  The
+perfbench modules are loaded from their files and left unchanged.
 """
 
 import importlib.util
@@ -12,7 +13,9 @@ import sys
 
 import pytest
 
-from besov_empirica import montecarlo
+from besov_empirica import cli, montecarlo
+
+from conftest import ReachedDraws, reach_draws
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -42,3 +45,15 @@ def test_tracing_target_resolves(target, attr):
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_probe_kernel_is_a_chunk_kernel(name):
     assert WORKLOADS[name].probe_kernel in montecarlo._CHUNK_FUNCTIONS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_passes_pre_draw_checks(name, tmp_path, monkeypatch):
+    # Every pre-draw check (montecarlo.check_run) accepts the workload's
+    # settings, ``suite`` being verify-all's defaults at 2 workers: the
+    # command gets as far as its first chunk run.
+    monkeypatch.setattr(montecarlo, "run_chunked", reach_draws)
+    workload = WORKLOADS[name]
+    argv = workload.argv(42, str(tmp_path / "out"), workload.write_config(str(tmp_path)))
+    with pytest.raises(ReachedDraws):
+        cli.main(argv)

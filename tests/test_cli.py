@@ -28,7 +28,7 @@ from besov_empirica.montecarlo import (
     run_sandwich_experiment,
 )
 
-from conftest import read_report_csv
+from conftest import ReachedDraws, reach_draws, read_report_csv
 
 
 VERIFY_COMMANDS = [
@@ -283,6 +283,30 @@ class TestUsageErrors:
         assert run_cli("verify-moments", "--workers", "1000000", "--out", str(out)) == 1
         assert capsys.readouterr().err == "error: workers: must be <= 64 (got 1000000)\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify-moments", "verify-concentration", "verify-sandwich"])
+    def test_concurrent_chunks_counted_before_any_pool(self, tmp_path, capsys, monkeypatch, command):
+        # 64 workers each running a 4 * 10**6-point chunk would hold 14-34 GB;
+        # one worker running them in turn fits.
+        def no_pool(workers):
+            raise AssertionError(f"asked for a pool of {workers}")
+
+        monkeypatch.setattr(montecarlo, "_worker_pool", no_pool)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"chunk_size": 4000}))
+        argv = [
+            command, "--n", "1000", "--j-max", "12", "--replicates", "256000",
+            "--config", str(cfg),
+        ]
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--workers", "64", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: workers: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+        monkeypatch.setattr(montecarlo, "run_chunked", reach_draws)
+        with pytest.raises(ReachedDraws):
+            run_cli(*argv, "--workers", "1", "--out", str(out))
 
     def test_simulate_bm_has_no_sample_size(self, tmp_path, capsys):
         code = run_cli("simulate-bm", "--n", "5", "--out", str(tmp_path / "p.json"))
@@ -938,16 +962,18 @@ GOLDEN_VERIFY_ALL_SHA256 = "335b7aaf26eec1157c0bddfc87122584864a0d25e0781bbf132c
 
 class TestWorkerPool:
     def test_verify_all_starts_one_pool(self, tmp_path, monkeypatch, capsys):
+        if sys.platform.startswith("linux"):
+            assert montecarlo.POOL_START_METHOD == "fork"
         montecarlo.shutdown_pool()
-        spawn = multiprocessing.get_context("spawn")
-        real_pool = spawn.Pool
+        context = multiprocessing.get_context(montecarlo.POOL_START_METHOD)
+        real_pool = context.Pool
         started = []
 
         def spy(*args, **kwargs):
             started.append(kwargs.get("processes"))
             return real_pool(*args, **kwargs)
 
-        monkeypatch.setattr(spawn, "Pool", spy)
+        monkeypatch.setattr(context, "Pool", spy)
         code = run_cli(
             "verify-all", "--seed", "42", "--n", "40", "--j-max", "10",
             "--replicates", "300", "--workers", "2", "--out", str(tmp_path / "suite"),
@@ -957,19 +983,25 @@ class TestWorkerPool:
 
     def test_subprocess_exits_with_pool_alive(self, tmp_path):
         # The pool outlives every run_chunked call; interpreter exit must
-        # still tear it down promptly.
-        result = subprocess.run(
-            [
-                sys.executable, "-m", "besov_empirica.cli", "verify-all",
-                "--seed", "42", "--n", "40", "--j-max", "10", "--replicates", "120",
-                "--workers", "2", "--out", str(tmp_path / "suite"),
-            ],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert result.returncode in (0, 2), result.stderr
-        assert "verify-all:" in result.stdout
+        # still tear it down promptly, and its workers print nothing.
+        trees = {}
+        for workers in ("2", "1"):
+            out = tmp_path / f"suite-{workers}"
+            result = subprocess.run(
+                [
+                    sys.executable, "-m", "besov_empirica.cli", "verify-all",
+                    "--seed", "42", "--n", "40", "--j-max", "10", "--replicates", "120",
+                    "--workers", workers, "--out", str(out),
+                ],
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert result.returncode in (0, 2), result.stderr
+            assert result.stderr == ""
+            assert "verify-all:" in result.stdout
+            trees[workers] = tree_digest(out)
+        assert trees["2"] == trees["1"]
 
 
 #: Digest of ``verify-sandwich --seed 42 --workers 1 --n 100 --j-max 10

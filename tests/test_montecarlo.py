@@ -379,15 +379,18 @@ class TestMoments:
     def test_worker_count_invariance(self):
         # Worker count is not part of a report, so the serialized documents
         # must agree byte for byte.  A chunk size of 70 leaves a short last
-        # chunk of 20.  Integer payloads (moments) and per-replicate sums
-        # that ignore the rest of their chunk (the continuous version) make
-        # the reports independent of the chunking too.
+        # chunk of 20.  Integer payloads (moments, concentration) and
+        # per-replicate statistics that ignore the rest of their chunk (the
+        # continuous version, the Gaussian paths) make the reports
+        # independent of the chunking too.
         runs = [
             (run_moment_experiment, ExperimentConfig(n=20, J=6, R=300, seed=SEED)),
             (
                 run_sandwich_experiment,
                 ExperimentConfig(process="empirical-continuous", n=20, J=10, R=300, seed=SEED),
             ),
+            (run_concentration_experiment, ExperimentConfig(n=20, J=8, R=300, seed=SEED)),
+            (run_roynette_experiment, ExperimentConfig(process="brownian", J=8, R=300, seed=SEED)),
         ]
         for runner, config in runs:
             docs = set()
