@@ -38,7 +38,7 @@ class BesovParams:
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "alpha", float(self.alpha))
         if not (self.p >= 1.0 and math.isfinite(self.p)):
-            raise ParameterError("p", f"must be >= 1 (got {self.p})")
+            raise ParameterError("p", f"must be a finite number >= 1 (got {self.p})")
         if not (0.0 < self.alpha <= 1.0):
             raise ParameterError("alpha", f"must lie in (0, 1] (got {self.alpha})")
 

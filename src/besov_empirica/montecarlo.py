@@ -10,7 +10,8 @@ processes ran the chunks or in which order they finished.
 
 The empirical chunk kernels are batched: each draws a chunk's uniform
 samples as one sorted matrix (``sampling.uniform_samples``: the chunk's
-stream keys derived at once, one generator re-keyed per stream) and sums,
+stream keys derived at once, one generator re-keyed per stream, and all its
+raw words mapped to lattice integers in one pass) and sums,
 level by level, the occupied cells that ``empirical.level_cells`` yields
 for the whole chunk, O(n) per level and replicate
 (``empirical_coefficients`` scatters the same cells into a triangle).
@@ -25,7 +26,8 @@ second differences ``n * d`` of its knots' cells.
 
 The Gaussian kernel reads level statistics straight from the synthesis
 draws, which are the path's level coefficients: it rebuilds no path and
-builds no triangle, and a bridge shares the motion's statistics.
+builds no triangle, and a bridge shares the motion's statistics.  Its
+streams come from the same re-keyed generator, one buffer a chunk.
 
 Runs with more than one worker share one pool per process: it starts on
 the first such call, is reused by every later call with the same worker
@@ -60,9 +62,9 @@ from .empirical import level_cells, step_coefficient_scale
 # module's attributes.
 from .empirical import empirical_coefficients, halfcell_counts, signed_sums_by_level  # noqa: F401
 from .errors import AggregationError, ParameterError
-from .gaussian import MAX_SYNTH_LEVEL, brownian_motion, synthesis_draws
+from .gaussian import MAX_SYNTH_LEVEL, brownian_motion
 from .oracle import enumeration_oracle, oracle_applicable
-from .sampling import GAUSSIAN_STREAM, SeedSpec, uniform_samples
+from .sampling import GAUSSIAN_STREAM, stream_generators, uniform_samples
 # Reference-only: ``uniform_samples`` draws the same samples a chunk at a time.
 # perfbench/tracing.py wraps it as this module's attribute.
 from .sampling import sample_uniform  # noqa: F401
@@ -112,14 +114,16 @@ MAX_CHUNK_POINTS = 1 << 22
 
 #: Kernel -> bytes one running chunk holds at its peak per sample point, per
 #: replicate and level, and per finest cell (``2**(J+1)``, the moment
-#: kernel's dense sums or a Gaussian replicate's draws).  Rounded up from
-#: tracemalloc peaks of one chunk at n = 2 .. 10**4 and J = 6 .. 20, the
-#: pickled result included.
+#: kernel's dense sums or the Gaussian chunk's draw buffer).  Rounded up
+#: from tracemalloc peaks of one chunk at n = 2 .. 10**4 and J = 6 .. 20,
+#: the pickled result included; ``tests/test_montecarlo.py`` checks them.
+#: The roynette bytes per replicate and level also cover the chunk's stream
+#: keys.
 CHUNK_PEAK_BYTES = {
     "moment": (90, 64, 76),
     "step_levels": (84, 32, 0),
     "continuous_levels": (136, 32, 0),
-    "roynette": (0, 32, 20),
+    "roynette": (0, 48, 20),
 }
 
 #: Most worker processes a run may start.
@@ -198,9 +202,8 @@ class ExperimentConfig:
             raise ParameterError("replicates", f"must be >= 100 (got {self.R})")
         if not 0 <= self.seed < (1 << 64):
             raise ParameterError("seed", f"must be an unsigned 64-bit integer (got {self.seed})")
-        BesovParams(p=self.p, alpha=0.5)
-        if self.p > MAX_P:
-            raise ParameterError("p", f"must be <= {MAX_P} (got {self.p})")
+        if not 1.0 <= self.p <= MAX_P:
+            raise ParameterError("p", f"must lie in [1, {MAX_P}] (got {self.p})")
         if self.roynette_band_halfwidth <= 0.0:
             raise ParameterError("roynette_band_halfwidth", "must be positive")
         if self.workers < 1:
@@ -245,6 +248,13 @@ def check_settings(config: ExperimentConfig, kind: str) -> None:
             )
 
 
+def chunk_peak_bytes(kernel: str, n: int, J: int, count: int) -> int:
+    """Estimated peak bytes of one running ``kernel`` chunk of ``count``
+    replicates, its pickled result included (``CHUNK_PEAK_BYTES``)."""
+    per_point, per_level, per_cell = CHUNK_PEAK_BYTES[kernel]
+    return count * (per_point * n + per_level * (J + 1)) + per_cell * (1 << (J + 1))
+
+
 def check_run(config: ExperimentConfig, kind: str) -> None:
     """Reject, before any draw, a ``verify-<kind>`` run that cannot go ahead.
 
@@ -272,14 +282,11 @@ def check_run(config: ExperimentConfig, kind: str) -> None:
         raise ParameterError("j_max", f"sandwich verification needs j_max >= 10 (got {J})")
 
     kernel = "moment" if kind == "moments" else _LEVEL_KERNELS[config.process]
-    per_point, per_level, per_cell = CHUNK_PEAK_BYTES[kernel]
 
     def held_at(replicates, workers):
         chunks = -(-replicates // config.chunk_size)
         count = min(config.chunk_size, replicates)
-        running = min(workers, chunks) * (
-            count * (per_point * n + per_level * (J + 1)) + per_cell * (1 << (J + 1))
-        )
+        running = min(workers, chunks) * chunk_peak_bytes(kernel, n, J, count)
         if kind == "moments":
             return running + (1 << (J + 1)) * (400 + 24 * chunks) + 48 * replicates * (J + 1)
         per_replicate = 32 * (J + 1) + (0 if kind == "concentration" else 160)
@@ -480,19 +487,22 @@ def _roynette_chunk(cfg: ExperimentConfig, start: int, count: int) -> ChunkResul
     """Level statistics ``(2**-j sum_k |g_jk|**p) ** (1/p)`` from the draws.
 
     Level ``j`` of a replicate is draws ``[2**j, 2**(j+1))`` of its
-    ``synthesis_draws(J + 1, ...)``, for the motion and the bridge alike.
-    The arithmetic is ``level_statistic``'s at ``alpha = 1/2`` in the same
-    order, so the statistics are bit-identical to it.  ``|g|**p`` is taken
-    in place: a fresh 2**(J+1)-entry temporary per replicate costs more
-    than the arithmetic.
+    ``gaussian.synthesis_draws(J + 1, ...)``, for the motion and the bridge
+    alike; the generator ``stream_generators`` re-keys per stream draws them
+    into one buffer for the chunk.  The arithmetic is ``level_statistic``'s
+    at ``alpha = 1/2`` in the same order, so the statistics are
+    bit-identical to it.  ``|g|**p`` is taken in place: a fresh
+    2**(J+1)-entry temporary per replicate costs more than the arithmetic.
     """
     J, p = cfg.J, float(cfg.p)
     stats = np.empty((count, J + 1))
-    for i in range(count):
-        draws = synthesis_draws(J + 1, SeedSpec(cfg.seed, start + i, GAUSSIAN_STREAM))
-        powered = np.power(np.abs(draws, out=draws), p, out=draws)
+    draws = np.empty(1 << (J + 1))
+    streams = stream_generators(cfg.seed, start, count, GAUSSIAN_STREAM)
+    for i, rng in enumerate(streams):
+        rng.standard_normal(out=draws)
+        np.power(np.abs(draws, out=draws), p, out=draws)
         for j in range(J + 1):
-            power_sum = float(powered[1 << j : 1 << (j + 1)].sum())
+            power_sum = float(draws[1 << j : 1 << (j + 1)].sum())
             stats[i, j] = (2.0 ** -j * power_sum) ** (1.0 / p)
     return ChunkResult(start=start, count=count, payload={"stat": stats})
 

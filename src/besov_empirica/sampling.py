@@ -6,19 +6,26 @@ seed-sequence hashing, so distinct triples give statistically independent
 streams and the same triple reproduces the same draws regardless of how
 many worker processes consume them.
 
-``make_generator`` and ``sample_uniform`` build one stream at a time and are
-the reference.  ``uniform_samples`` draws the same samples for a run of
+``make_generator``, ``sample_uniform`` and ``sample_gaussian`` build one
+stream at a time and are the reference.  The chunk kernels draw a run of
 consecutive streams at once: ``stream_keys`` derives every stream's Philox
 key with numpy's ``SeedSequence`` hash written out in vectorized uint32
-arithmetic (the master seed's share of the hash runs once), and one
-``Philox``/``Generator`` pair, built per call, is re-keyed per stream.  That
-path leans on numpy's ``SeedSequence`` algorithm and ``Philox`` state
-layout; ``tests/test_sampling.py`` pins both to the reference, so a numpy
-change that moves them fails the tests instead of moving a report.
+arithmetic (the master seed's share of the hash runs once), and
+``stream_generators`` re-keys one ``Philox``/``Generator`` pair per stream.
+``uniform_samples`` takes each stream's raw 64-bit words and maps the whole
+chunk's words to lattice integers at once with ``lemire_lattice``, which
+rebuilds the bounded-integer step of ``Generator.integers``: numpy's 64-bit
+Lemire bound and its rejection threshold.  A row holding a word numpy would
+reject (odds about ``2**-53`` a word) is drawn again by the reference.
+These paths lean on numpy internals (the ``SeedSequence`` algorithm, the
+``Philox`` state layout and the Lemire bound); ``tests/test_sampling.py``
+pins all three to the reference, so a numpy change that moves them fails
+the tests instead of moving a report.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +38,9 @@ GAUSSIAN_STREAM = 1
 
 _U64 = 1 << 64
 _MANTISSA = 1 << 53
+# ``Generator.integers(1, _MANTISSA)`` rejects a raw word when the low word
+# of its Lemire product is below this.
+_LEMIRE_THRESHOLD = (_U64 - _MANTISSA + 1) % (_MANTISSA - 1)
 
 # numpy's SeedSequence hash (``numpy/random/bit_generator.pyx``) on 32-bit
 # words: its pool size and hash constants.
@@ -188,29 +198,68 @@ def sample_gaussian(n: int, seed: SeedSpec) -> np.ndarray:
     return make_generator(seed).standard_normal(n)
 
 
+def stream_generators(
+    master_seed: int, start: int, count: int, substream_label: int
+) -> Iterator[np.random.Generator]:
+    """Yield one ``Generator`` per stream ``start .. start + count - 1``.
+
+    The same ``Generator`` comes back each time, its ``Philox`` re-keyed to
+    the next stream's ``stream_keys`` row with counter 0 and an empty
+    buffer, the state a fresh one starts in: it draws what
+    ``make_generator`` of that stream draws.  Both are built per call, never
+    at import.
+    """
+    keys = stream_keys(master_seed, start, count, substream_label)
+    bit_generator = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_generator)
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in keys.tolist():
+        state["state"]["key"] = key
+        bit_generator.state = state
+        yield rng
+
+
+def lemire_lattice(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Generator.integers(1, 2**53)`` of raw 64-bit ``words``, one word a draw.
+
+    numpy's 64-bit Lemire bound with ``rng_excl = 2**53 - 1`` returns the
+    high word of ``w * rng_excl`` plus the offset 1, and draws again when
+    the low word is below ``(2**64 - 2**53 + 1) % rng_excl = 2048``.  With
+    ``hi = w << 53`` (mod ``2**64``), ``w * (2**53 - 1) = (w >> 11) * 2**64 +
+    hi - w``, so the high word is ``(w >> 11) - (hi < w)`` and the low word
+    ``hi - w`` (mod ``2**64``).  Returns the int64 lattice values and a mask
+    of the words numpy would have rejected.
+    """
+    hi = words << np.uint64(53)
+    lattice = words >> np.uint64(11)
+    lattice -= hi < words
+    lattice += np.uint64(1)
+    hi -= words
+    return lattice.view(np.int64), hi < np.uint64(_LEMIRE_THRESHOLD)
+
+
 def uniform_samples(n: int, master_seed: int, start: int, count: int) -> np.ndarray:
     """``sample_uniform`` of the uniform streams ``start .. start + count - 1``.
 
     Returns their sorted values as a ``(count, n)`` float64 matrix, one
     stream a row, identical to stacking ``sample_uniform(n, SeedSpec(
-    master_seed, start + i, UNIFORM_STREAM)).sorted_values``.  One ``Philox``
-    is set to each stream's key (counter 0, empty buffer, as a fresh one
-    starts) and draws the stream's lattice row; the rows are sorted and
-    checked for range and ties once, on the integers.
+    master_seed, start + i, UNIFORM_STREAM)).sorted_values``.  Each stream's
+    ``n`` raw Philox words fill one row of a ``(count, n)`` uint64 matrix,
+    and ``lemire_lattice`` maps all of them to lattice integers at once.  A
+    row holding a word that ``Generator.integers`` would reject (and draw
+    again) is drawn again with ``make_generator``, the reference.  The rows
+    are sorted and checked for range and ties once, on the integers.
     """
     if n < 2:
         raise ParameterError("n", f"need at least 2 observations (got {n})")
-    keys = stream_keys(master_seed, start, count, UNIFORM_STREAM)
-    bit_generator = np.random.Philox(key=0)
-    rng = np.random.Generator(bit_generator)
-    # A fresh Philox's state: counter 0, and its four-word buffer used up.
-    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
-             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    lattice = np.empty((count, n), dtype=np.int64)
-    for row, key in zip(lattice, keys.tolist()):
-        state["state"]["key"] = key
-        bit_generator.state = state
-        row[:] = rng.integers(1, _MANTISSA, size=n)
+    words = np.empty((count, n), dtype=np.uint64)
+    for rng, row in zip(stream_generators(master_seed, start, count, UNIFORM_STREAM), words):
+        row[:] = rng.bit_generator.random_raw(n)
+    lattice, rejected = lemire_lattice(words)
+    for i in np.flatnonzero(rejected.any(axis=1)).tolist():
+        rng = make_generator(SeedSpec(master_seed, start + i, UNIFORM_STREAM))
+        lattice[i] = rng.integers(1, _MANTISSA, size=n)
     return _lattice_samples(lattice)
 
 

@@ -175,6 +175,27 @@ class TestUsageErrors:
         assert err.startswith("error: p: ") and err.count("\n") == 1, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_exponent_names_its_range(self, tmp_path, capsys, value):
+        out = tmp_path / "o"
+        code = run_cli("verify-roynette", "--p", value, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: p: must lie in [1, {montecarlo.MAX_P}] (got {value})\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_norm_rejects_non_finite_exponent(self, tmp_path, capsys, value):
+        coeffs = tmp_path / "c.json"
+        tri = dyadic.CoefficientTriangle(J=0, mu0=0.0, mu1=0.0, levels=(np.zeros(1),))
+        dyadic.save_triangle_json(tri, coeffs)
+        out = tmp_path / "s.json"
+        code = run_cli("norm", "--coeffs", str(coeffs), "--p", value, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: p: must be a finite number >= 1 (got {value})\n"
+        assert not out.exists()
+
     def test_exponent_at_cap_runs_without_warning(self, tmp_path, capsys):
         out = tmp_path / "o"
         with warnings_as_errors():

@@ -1,6 +1,8 @@
 import json
 import math
+import pickle
 import time
+import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from besov_empirica.montecarlo import (
     MAX_WORKERS,
     PROCESSES,
     RUN_ONLY_FIELDS,
+    _CHUNK_FUNCTIONS,
     ChunkResult,
     ExperimentConfig,
     _continuous_levels_chunk,
@@ -27,6 +30,7 @@ from besov_empirica.montecarlo import (
     absolute_moment_target,
     aggregate,
     chebyshev_deviation_bound,
+    chunk_peak_bytes,
     run_concentration_experiment,
     run_moment_experiment,
     run_roynette_experiment,
@@ -221,7 +225,7 @@ class TestGaussianKernel:
     @settings(max_examples=40)
     @given(
         J=st.integers(6, 10),
-        p=st.sampled_from([1.0, 2.0, 2.5, 4.0]),
+        p=st.sampled_from([1.0, 2.0, 2.5, 3.5, 4.0]),
         process=st.sampled_from(["brownian", "bridge"]),
         start=st.integers(0, 2**64 - 8),
         count=st.integers(1, 7),
@@ -240,6 +244,36 @@ class TestGaussianKernel:
         assert (got.start, got.count) == (start, count)
         assert set(got.payload) == {"stat"}
         np.testing.assert_array_equal(got.payload["stat"], want)
+
+
+class TestChunkPeakEstimate:
+    """``check_run`` counts ``chunk_peak_bytes`` for every running chunk; the
+    estimate must not fall below what a chunk holds at its peak."""
+
+    @pytest.mark.parametrize(
+        "kernel,process,n,J,count",
+        [
+            (kernel, process, n, J, count)
+            for kernel, process in [
+                ("moment", "empirical-step"),
+                ("step_levels", "empirical-step"),
+                ("continuous_levels", "empirical-continuous"),
+            ]
+            for n, J, count in [(100, 12, 1000), (2, 6, 50_000), (3, 6, 1000)]
+        ]
+        + [("roynette", "brownian", 2, 14, 20), ("roynette", "brownian", 2, 6, 20_000)],
+    )
+    def test_traced_peak_within_estimate(self, kernel, process, n, J, count):
+        cfg = ExperimentConfig(process=process, n=n, J=J, R=max(count, 100), chunk_size=count)
+        chunk = _CHUNK_FUNCTIONS[kernel]
+        chunk(cfg, 0, 2)  # first-call allocations are not the chunk's
+        tracemalloc.start()
+        try:
+            pickle.dumps(chunk(cfg, 0, count))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= chunk_peak_bytes(kernel, n, J, count)
 
 
 def _sample_stream(cfg, start, count):

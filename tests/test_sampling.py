@@ -6,12 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from besov_empirica import sampling
 from besov_empirica.errors import ParameterError, TiesError
 from besov_empirica.sampling import (
     UNIFORM_STREAM,
     EmpiricalSample,
     SeedSpec,
     _lattice_samples,
+    lemire_lattice,
     make_generator,
     order_statistics,
     sample_gaussian,
@@ -153,6 +155,62 @@ class TestBatchedStreams:
         with pytest.raises(ParameterError) as got:
             _lattice_samples(lattice)
         assert str(got.value) == str(want.value)
+
+
+def _lemire_reference(word):
+    """``Generator.integers(1, 2**53)``'s Lemire step in Python integers:
+    the drawn value and whether numpy rejects the word."""
+    product = word * (2**53 - 1)
+    return (product >> 64) + 1, product % 2**64 < 2048
+
+
+# ``lemire_lattice`` rebuilds numpy's bounded-integer algorithm; these tests
+# pin it to big-integer arithmetic, and the batched tests above pin the
+# whole draw to ``sample_uniform``.
+class TestLemireLattice:
+    # 0 is rejected; 2**11 - 1 is the last word without a borrow (hi < w)
+    # and 2**11 the first with one; 2**64 - 1 is the largest word.
+    CHOSEN = [0, 1, 2, 2**11 - 1, 2**11, 2**11 + 1, 2**52, 2**53 - 1, 2**53,
+              2**53 + 1, 2**53 + 2**11 - 1, 2**63 - 1, 2**63, 2**64 - 2**11, 2**64 - 1]
+
+    def _check(self, words):
+        lattice, rejected = lemire_lattice(np.array(words, dtype=np.uint64))
+        assert lattice.dtype == np.int64 and rejected.dtype == bool
+        want = [_lemire_reference(w) for w in words]
+        assert lattice.tolist() == [k for k, _ in want]
+        assert rejected.tolist() == [r for _, r in want]
+
+    def test_chosen_words(self):
+        self._check(self.CHOSEN)
+        assert lemire_lattice(np.array([0], dtype=np.uint64))[1].tolist() == [True]
+        assert lemire_lattice(np.array([2**64 - 1], dtype=np.uint64))[0].tolist() == [2**53 - 1]
+
+    def test_both_sides_of_the_borrow(self):
+        words = [(k << 11) + r for k in (1, 5, 2**52 + 3) for r in (0, 1, 2**11 - 2, 2**11 - 1)]
+        hi = [w << 53 & (2**64 - 1) for w in words]
+        assert {h < w for h, w in zip(hi, words)} == {True, False}
+        self._check(words)
+
+    @settings(max_examples=200)
+    @given(words=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
+    def test_random_words(self, words):
+        self._check(words)
+
+    def test_rejected_row_drawn_by_reference(self, monkeypatch):
+        n, start, count = 5, 10, 4
+
+        def reject_row_two(words):
+            lattice, rejected = lemire_lattice(words)
+            rejected[2, 1] = True
+            lattice[2] = 0  # the redraw must replace the whole row
+            return lattice, rejected
+
+        monkeypatch.setattr(sampling, "lemire_lattice", reject_row_two)
+        want = [
+            sample_uniform(n, SeedSpec(SEED, start + i, UNIFORM_STREAM)).sorted_values
+            for i in range(count)
+        ]
+        np.testing.assert_array_equal(uniform_samples(n, SEED, start, count), np.stack(want))
 
 
 class TestGaussian:
