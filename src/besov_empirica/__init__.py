@@ -35,10 +35,8 @@ from .errors import (
 )
 from .gaussian import GaussianPath, brownian_bridge, brownian_motion
 from .montecarlo import (
-    ConcentrationReport,
     ExperimentConfig,
-    MomentReport,
-    SandwichReport,
+    Report,
     aggregate,
     run_concentration_experiment,
     run_moment_experiment,
@@ -62,17 +60,15 @@ __all__ = [
     "BesovEmpiricaError",
     "BesovParams",
     "CoefficientTriangle",
-    "ConcentrationReport",
     "ContinuousEcdf",
     "DyadicPathValues",
     "EmpiricalSample",
     "ExperimentConfig",
     "GaussianPath",
     "LevelProfile",
-    "MomentReport",
     "OracleMoments",
     "ParameterError",
-    "SandwichReport",
+    "Report",
     "SeedSpec",
     "TiesError",
     "aggregate",

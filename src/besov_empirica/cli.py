@@ -13,16 +13,13 @@ output trees are byte-identical across runs and worker counts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
 from . import besov, dyadic, empirical, gaussian, montecarlo
 from .errors import BesovEmpiricaError, ParameterError, checked_value, read_json_object
 from .sampling import UNIFORM_STREAM, SeedSpec, sample_uniform
-
-#: Gaussian part of the default verification suite.
-ROYNETTE_SUITE_LEVEL = 14
-
 
 class UsageError(BesovEmpiricaError):
     pass
@@ -48,7 +45,7 @@ def _experiment_config(args, kind: str | None = None) -> montecarlo.ExperimentCo
     schema = montecarlo.config_schema()
     settings = {}
     if kind in montecarlo.EXPERIMENTS:
-        settings["process"] = montecarlo.EXPERIMENTS[kind][0][0]
+        settings["process"] = next(iter(montecarlo.EXPERIMENTS[kind].kernels))
     if getattr(args, "config", None):
         for key, value in read_json_object(args.config, "config").items():
             if key not in schema:
@@ -61,9 +58,19 @@ def _experiment_config(args, kind: str | None = None) -> montecarlo.ExperimentCo
     return montecarlo.ExperimentConfig(**settings)
 
 
+@contextlib.contextmanager
+def _writing(key: str):
+    """Raise an ``OSError`` of the writes inside as a ``ParameterError`` naming ``key``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParameterError(key, f"cannot write: {exc}") from exc
+
+
 def _out_dir(args) -> str:
     out = args.out or "reports"
-    os.makedirs(out, exist_ok=True)
+    with _writing("out"):
+        os.makedirs(out, exist_ok=True)
     return out
 
 
@@ -79,57 +86,27 @@ _write_csv = dyadic.write_csv
 PROFILE_HEADER = ["j", "level_statistic", "running_sup", "tail_min"]
 
 
-def emit_plot_data(obj, path) -> None:
-    """Write plot-ready CSV rows for a profile or a report.
+def emit_plot_data(profile, path) -> None:
+    """Write the plot-ready CSV rows of a level profile (``norm --profile``).
 
-    ``tail_min`` in profile rows is the suffix minimum from level j
-    upward, so the scalar tail minimum is the value at the tail window
-    start.  ``None`` or an empty row list writes the profile header only.
+    ``tail_min`` is the suffix minimum from level j upward, so the scalar
+    tail minimum is the value at the tail window start.  ``None`` or an
+    empty row list writes the header only.
     """
-    if obj is None or (isinstance(obj, (list, tuple)) and len(obj) == 0):
-        _write_csv(path, PROFILE_HEADER, [])
-        return
-    if isinstance(obj, besov.LevelProfile):
-        rows = [
-            [j, float(obj.levels[j]), float(obj.running_sup[j]), float(obj.suffix_min[j])]
-            for j in range(len(obj.levels))
-        ]
-        _write_csv(path, PROFILE_HEADER, rows)
-        return
-    if isinstance(obj, montecarlo.ConcentrationReport):
-        rows = [
-            [r["n"], r["j"], r["frequency"], r["bound"], r["se"], r["passed"]]
-            for r in obj.rows
-        ]
-        _write_csv(path, ["n", "j", "frequency", "bound", "se", "pass"], rows)
-        return
-    if isinstance(obj, montecarlo.SandwichReport):
-        header = ["j", "in_band_frequency", "mean_statistic", "sd_statistic"]
-        rows = [
-            [j, obj.in_band_freq[j], obj.mean_stat[j], obj.sd_stat[j]]
-            for j in range(len(obj.in_band_freq))
-        ]
-        if obj.kind == "roynette":
-            header.append("target")
-            for row in rows:
-                row.append(obj.target)
-        _write_csv(path, header, rows)
-        return
-    if isinstance(obj, montecarlo.MomentReport):
-        # One row per cell, one column per per-cell estimate.
-        rows = [
-            [j, k0 + 1, *values]
-            for j, stats in sorted(obj.cell_stats.items())
-            for k0, values in enumerate(zip(*stats.values()))
-        ]
-        _write_csv(path, ["j", "k", *obj.cell_stats[0]], rows)
-        return
-    raise ParameterError("plot_data", f"no plot emitter for {type(obj).__name__}")
+    if isinstance(profile, besov.LevelProfile):
+        columns = zip(profile.levels, profile.running_sup, profile.suffix_min)
+        rows = ([j, float(v), float(sup), float(tail)] for j, (v, sup, tail) in enumerate(columns))
+    elif profile is None or (isinstance(profile, (list, tuple)) and len(profile) == 0):
+        rows = []
+    else:
+        raise ParameterError("plot_data", f"no plot emitter for {type(profile).__name__}")
+    _write_csv(path, PROFILE_HEADER, rows)
 
 
-def _emit_moment_levels_csv(report: montecarlo.MomentReport, path) -> None:
-    rows = [[j, *values] for j, values in enumerate(zip(*report.level_stats.values()))]
-    _write_csv(path, ["j", *report.level_stats], rows)
+def _emit_moment_levels_csv(report: montecarlo.Report, path) -> None:
+    """Reference-only, called by no code path (``_verify`` writes every table):
+    perfbench/tracing.py wraps it as this module's attribute."""
+    _write_csv(path, *report.tables["moments_levels.csv"])
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +121,8 @@ def _cmd_simulate_empirical(args) -> int:
     tri = empirical.empirical_coefficients(sample, args.j_max, source=args.source)
     sup = empirical.sup_distance(empirical.continuous_ecdf(sample))
     metadata = {"n": args.n, "seed": args.seed, "source": args.source, "sup_distance": sup}
-    dyadic.save_triangle_json(tri, args.out, metadata=metadata)
+    with _writing("out"):
+        dyadic.save_triangle_json(tri, args.out, metadata=metadata)
     print(f"wrote {args.out}")
     return 0
 
@@ -156,7 +134,8 @@ def _cmd_simulate_bm(args) -> int:
         path = gaussian.brownian_bridge(path)
     triangle = dyadic.triangle_to_dict(path.triangle)
     extra = {"kind": path.kind, "seed": args.seed, "triangle": triangle}
-    dyadic.save_path_json(path.path, args.out, extra=extra)
+    with _writing("out"):
+        dyadic.save_path_json(path.path, args.out, extra=extra)
     print(f"wrote {args.out}")
     return 0
 
@@ -164,7 +143,8 @@ def _cmd_simulate_bm(args) -> int:
 def _cmd_coeffs(args) -> int:
     path_values = dyadic.load_path_json(args.path)
     tri = dyadic.extract_coefficients(path_values)
-    dyadic.save_triangle_json(tri, args.out, metadata={"source_level": path_values.J})
+    with _writing("out"):
+        dyadic.save_triangle_json(tri, args.out, metadata={"source_level": path_values.J})
     print(f"wrote {args.out}")
     return 0
 
@@ -174,62 +154,56 @@ def _cmd_norm(args) -> int:
     params = besov.BesovParams(p=args.p, alpha=args.alpha)
     value = besov.besov_norm(tri, params)
     if args.profile:
-        emit_plot_data(besov.little_o_profile(tri, params), args.profile)
+        with _writing("profile"):
+            emit_plot_data(besov.little_o_profile(tri, params), args.profile)
     if args.out:
-        _write_json(
-            args.out, {"norm": value, "p": params.p, "alpha": params.alpha, "j_max": tri.J}
-        )
+        with _writing("out"):
+            _write_json(
+                args.out, {"norm": value, "p": params.p, "alpha": params.alpha, "j_max": tri.J}
+            )
     print(repr(value))
     return 0
 
 
-#: Report kind -> (``montecarlo`` runner, plot-data CSV); the JSON report
-#: is ``<kind>.json``.
-_REPORTS = {
-    "moments": ("run_moment_experiment", "moments_cells.csv"),
-    "concentration": ("run_concentration_experiment", "concentration.csv"),
-    "sandwich": ("run_sandwich_experiment", "sandwich.csv"),
-    "roynette": ("run_roynette_experiment", "roynette.csv"),
-}
-
-
-def _run_and_emit(kind: str, cfg: montecarlo.ExperimentConfig, out_dir: str):
-    runner, csv_name = _REPORTS[kind]
-    # Looked up on every call, so a replaced module attribute takes effect.
-    report = getattr(montecarlo, runner)(cfg)
-    _write_json(os.path.join(out_dir, f"{kind}.json"), report.as_dict())
-    emit_plot_data(report, os.path.join(out_dir, csv_name))
-    if kind == "moments":
-        _emit_moment_levels_csv(report, os.path.join(out_dir, "moments_levels.csv"))
-    return report
+def _verify(configs: dict, args):
+    """Run ``configs`` (experiment -> config), checked before ``--out`` exists,
+    and write each report there as it arrives; return whether each passed,
+    and ``--out``."""
+    reports = montecarlo.run_experiments(configs)
+    out_dir = _out_dir(args)
+    passed = {}
+    for kind, report in reports:
+        with _writing("out"):
+            _write_json(os.path.join(out_dir, f"{kind}.json"), report.as_dict())
+            for name, (header, rows) in report.tables.items():
+                _write_csv(os.path.join(out_dir, name), header, rows)
+        passed[kind] = report.results["passed"]
+        print(f"verify-{kind}: {'PASS' if passed[kind] else 'FAIL'}")
+        del report  # before the next run draws
+    return passed, out_dir
 
 
 def _cmd_verify(kind: str, args) -> int:
-    """Run ``verify-<kind>``; ``verify-all`` runs every experiment at the
-    settings it reads, with defaults for the rest.  Every run is checked
-    (``montecarlo.check_run``) before any draw and before ``--out`` exists."""
-    cfg = _experiment_config(args, kind)
-    configs = {kind: cfg}
-    if kind == "all":
-        montecarlo.check_settings(cfg, "all")
-        configs = {}
-        for name, (processes, reads) in montecarlo.EXPERIMENTS.items():
-            kept = {field: getattr(cfg, field) for field in reads + montecarlo.RUN_ONLY_FIELDS}
-            if name == "roynette":
-                kept["J"] = max(cfg.J, ROYNETTE_SUITE_LEVEL)
-            configs[name] = montecarlo.ExperimentConfig(process=processes[0], **kept)
-    for name, run_cfg in configs.items():
-        montecarlo.check_run(run_cfg, name)
-    out_dir = _out_dir(args)
-    results = {}
-    for name, run_cfg in configs.items():
-        results[name] = _run_and_emit(name, run_cfg, out_dir).passed
-        print(f"verify-{name}: {'PASS' if results[name] else 'FAIL'}")
-    passed = all(results.values())
-    if kind == "all":
-        summary = {"passed": passed, "components": results, "seed": cfg.seed}
+    passed, _ = _verify({kind: _experiment_config(args, kind)}, args)
+    return 0 if all(passed.values()) else 2
+
+
+def _cmd_verify_all(args) -> int:
+    """Run every experiment at the settings it reads, with defaults for the
+    rest, on its default process and at its ``suite_level`` or deeper."""
+    cfg = _experiment_config(args)
+    montecarlo.check_settings(cfg, "all")
+    configs = {}
+    for kind, experiment in montecarlo.EXPERIMENTS.items():
+        kept = {f: getattr(cfg, f) for f in experiment.reads + montecarlo.RUN_ONLY_FIELDS}
+        kept["J"] = max(cfg.J, experiment.suite_level)
+        configs[kind] = montecarlo.ExperimentConfig(process=next(iter(experiment.kernels)), **kept)
+    components, out_dir = _verify(configs, args)
+    passed = all(components.values())
+    with _writing("out"):
+        summary = {"passed": passed, "components": components, "seed": cfg.seed}
         _write_json(os.path.join(out_dir, "summary.json"), summary)
-        print(f"verify-all: {'PASS' if passed else 'FAIL'}")
+    print(f"verify-all: {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 2
 
 
@@ -280,11 +254,13 @@ def build_parser() -> _Parser:
     sub.add_argument("--out", default=None, help="write a JSON summary here")
     sub.set_defaults(handler=_cmd_norm, p=2.0, alpha=0.5)
 
-    for kind in (*montecarlo.EXPERIMENTS, "all"):
-        what = "the default verification suite" if kind == "all" else f"the {kind} experiment"
-        sub = subs.add_parser(f"verify-{kind}", help=f"run {what}")
+    for kind in montecarlo.EXPERIMENTS:
+        sub = subs.add_parser(f"verify-{kind}", help=f"run the {kind} experiment")
         _add_common_flags(sub)
         sub.set_defaults(handler=lambda args, kind=kind: _cmd_verify(kind, args))
+    sub = subs.add_parser("verify-all", help="run the default verification suite")
+    _add_common_flags(sub)
+    sub.set_defaults(handler=_cmd_verify_all)
     return parser
 
 

@@ -158,9 +158,9 @@ def scale_triangle(coeffs: CoefficientTriangle, c: float) -> CoefficientTriangle
 
 
 def write_json(path, doc) -> None:
-    """Write ``doc`` with sorted keys, two-space indent and a final newline."""
+    """Write ``doc`` (arrays as lists) with sorted keys, two-space indent and a final newline."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        json.dump(doc, fh, sort_keys=True, indent=2, default=np.ndarray.tolist)
         fh.write("\n")
 
 

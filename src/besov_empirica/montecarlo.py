@@ -6,7 +6,9 @@ statistics; replicates are independent work units addressed by
 ``stream_index``, grouped into fixed-size chunks whose boundaries depend
 only on the replicate count.  Partial results are reduced strictly in
 chunk order, so the output is bit-identical no matter how many worker
-processes ran the chunks or in which order they finished.
+processes ran the chunks or in which order they finished.  Each experiment
+is one ``Experiment`` record, and ``run_experiments`` plans, runs and builds
+the ``Report`` of every run.
 
 The empirical chunk kernels are batched: each draws a chunk's uniform
 samples as one sorted matrix (``sampling.uniform_samples``: the chunk's
@@ -47,7 +49,8 @@ import math
 import multiprocessing
 import sys
 import threading
-from dataclasses import dataclass, fields
+from collections.abc import Callable
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -64,7 +67,7 @@ from .empirical import empirical_coefficients, halfcell_counts, signed_sums_by_l
 from .errors import AggregationError, ParameterError
 from .gaussian import MAX_SYNTH_LEVEL, brownian_motion
 from .oracle import enumeration_oracle, oracle_applicable
-from .sampling import GAUSSIAN_STREAM, stream_generators, uniform_samples
+from .sampling import GAUSSIAN_STREAM, check_streams, stream_generators, uniform_samples
 # Reference-only: ``uniform_samples`` draws the same samples a chunk at a time.
 # perfbench/tracing.py wraps it as this module's attribute.
 from .sampling import sample_uniform  # noqa: F401
@@ -141,16 +144,6 @@ CONFIG_KEYS = {"J": "j_max", "R": "replicates"}
 #: Fields that set how a run executes, never what it computes; reports
 #: leave them out.
 RUN_ONLY_FIELDS = ("workers", "chunk_size")
-
-#: Experiment -> (the processes it runs on, the first being its default; the
-#: other fields it reads).  ``check_settings`` rejects any further field that
-#: is not at its default, apart from the run-only ones.
-EXPERIMENTS = {
-    "moments": (("empirical-step",), ("n", "J", "R", "seed")),
-    "concentration": (("empirical-step",), ("n", "J", "R", "seed")),
-    "sandwich": (("empirical-step", "empirical-continuous"), ("n", "J", "R", "seed")),
-    "roynette": (("brownian", "bridge"), ("J", "R", "p", "seed", "roynette_band_halfwidth")),
-}
 
 
 def check_max_level(J: int) -> None:
@@ -236,8 +229,9 @@ def check_settings(config: ExperimentConfig, kind: str) -> None:
     ``kind`` is an ``EXPERIMENTS`` key, or ``"all"``: the suite reads what
     its experiments read and sets each one's process itself.
     """
-    suite = tuple(name for _, names in EXPERIMENTS.values() for name in names)
-    processes, reads = EXPERIMENTS.get(kind, ((ExperimentConfig.process,), suite))
+    records = [EXPERIMENTS[kind]] if kind in EXPERIMENTS else EXPERIMENTS.values()
+    reads = tuple(name for record in records for name in record.reads)
+    processes = tuple(records[0].kernels) if kind in EXPERIMENTS else (ExperimentConfig.process,)
     for f in fields(config):
         value = getattr(config, f.name)
         accepted = processes if f.name == "process" else (f.default,)
@@ -255,55 +249,41 @@ def chunk_peak_bytes(kernel: str, n: int, J: int, count: int) -> int:
     return count * (per_point * n + per_level * (J + 1)) + per_cell * (1 << (J + 1))
 
 
+def run_bytes(config: ExperimentConfig, kind: str) -> int:
+    """Estimated peak bytes of a ``verify-<kind>`` run: the record's
+    ``held_bytes`` model plus the ``CHUNK_PEAK_BYTES`` of every chunk that
+    runs at once, one per worker up to the chunk count."""
+    experiment = EXPERIMENTS[kind]
+    n, J, R = config.n, config.J, config.R
+    per_cell, per_cell_chunk, per_level, per_replicate = experiment.held_bytes
+    chunks = -(-R // config.chunk_size)
+    peak = chunk_peak_bytes(experiment.kernels[config.process], n, J, min(config.chunk_size, R))
+    held = (1 << (J + 1)) * (per_cell + per_cell_chunk * chunks)
+    return min(config.workers, chunks) * peak + held + R * (per_level * (J + 1) + per_replicate)
+
+
 def check_run(config: ExperimentConfig, kind: str) -> None:
     """Reject, before any draw, a ``verify-<kind>`` run that cannot go ahead.
 
     ``kind`` is an ``EXPERIMENTS`` key.  Checks ``check_settings``, the
-    experiment's own bounds, and the bytes held against ``MAX_RUN_BYTES``:
-    for moments 400 bytes a cell for the report, 24 a cell per chunk for the
-    held per-cell sums and 48 a replicate and level (with 37 MiB of
-    interpreter, -2% to +15% of peaks measured at J = 12..19); else 32 bytes
-    a replicate and level, plus 160 a replicate for a band report's lists
-    (30 to 90% over peaks measured at n = 10, R = 2 * 10**5, J = 10 and 20).
-    On top come the ``CHUNK_PEAK_BYTES`` of every chunk that runs at once,
-    one per worker up to the chunk count.
+    experiment's own bounds (its record's ``check``), and ``run_bytes``
+    against ``MAX_RUN_BYTES``.
     """
     check_settings(config, kind)
-    n, J, R = config.n, config.J, config.R
-    if kind == "moments":
-        if n > MAX_MOMENT_SAMPLE:
-            raise ParameterError("n", f"moment experiment caps n at {MAX_MOMENT_SAMPLE}")
-        # int64 per-cell sums over all replicates: |sum S| <= R*n and sum H <= R*n**2.
-        if R * n**2 >= 1 << 63:
-            raise ParameterError(
-                "replicates", f"replicates * n**2 must stay below 2**63 (got {R} at n={n})"
-            )
-    if kind == "sandwich" and J < 10:
-        raise ParameterError("j_max", f"sandwich verification needs j_max >= 10 (got {J})")
-
-    kernel = "moment" if kind == "moments" else _LEVEL_KERNELS[config.process]
-
-    def held_at(replicates, workers):
-        chunks = -(-replicates // config.chunk_size)
-        count = min(config.chunk_size, replicates)
-        running = min(workers, chunks) * chunk_peak_bytes(kernel, n, J, count)
-        if kind == "moments":
-            return running + (1 << (J + 1)) * (400 + 24 * chunks) + 48 * replicates * (J + 1)
-        per_replicate = 32 * (J + 1) + (0 if kind == "concentration" else 160)
-        return running + per_replicate * replicates
-
-    held = held_at(R, config.workers)
+    EXPERIMENTS[kind].check(config)
+    held = run_bytes(config, kind)
     if held > MAX_RUN_BYTES:
         # Blame the workers if one would do, else the replicates unless even
         # the fewest would not fit.
-        if held_at(R, 1) <= MAX_RUN_BYTES:
+        one = replace(config, workers=1)
+        if run_bytes(one, kind) <= MAX_RUN_BYTES:
             key = "workers"
         else:
-            key = "replicates" if held_at(100, 1) <= MAX_RUN_BYTES else "j_max"
+            key = "replicates" if run_bytes(replace(one, R=100), kind) <= MAX_RUN_BYTES else "j_max"
         raise ParameterError(
             key,
             f"the {kind} run would hold about {held >> 20} MiB, over its {MAX_RUN_BYTES >> 20}"
-            f" MiB cap (j_max {J}, replicates {R}, chunk_size {config.chunk_size},"
+            f" MiB cap (j_max {config.J}, replicates {config.R}, chunk_size {config.chunk_size},"
             f" workers {config.workers})",
         )
 
@@ -408,7 +388,7 @@ def run_chunked(name: str, cfg: ExperimentConfig) -> list:
     reference: a forked worker finds them in the module it inherited, a
     spawned one in the module it imports.
     """
-    kernel = _CHUNK_FUNCTIONS[name]
+    kernel = _CHUNK_FUNCTIONS[name][0]
     args = [(cfg, start, count) for start, count in _chunk_specs(cfg.R, cfg.chunk_size)]
     if cfg.workers <= 1:
         return list(itertools.starmap(kernel, args))
@@ -464,15 +444,6 @@ def _step_chunk(cfg: ExperimentConfig, start: int, count: int, cells: bool) -> C
     return ChunkResult(start=start, count=count, payload=payload)
 
 
-_MOMENT_REDUCERS = {
-    "cell_sum_s": "sum",
-    "cell_sum_h": "sum",
-    "cell_sum_h2": "sum",
-    "sum_h": "stack",
-    "sum_h2": "stack",
-}
-
-
 def _continuous_levels_chunk(cfg: ExperimentConfig, start: int, count: int) -> ChunkResult:
     """Squared level statistics ``2**-j sum_k c_jk**2`` of the continuous version:
     ``sum (n * d)**2 / n`` over a replicate's cells of ``level_cells``."""
@@ -507,25 +478,38 @@ def _roynette_chunk(cfg: ExperimentConfig, start: int, count: int) -> ChunkResul
     return ChunkResult(start=start, count=count, payload={"stat": stats})
 
 
-#: Per-replicate level kernel of each process.
-_LEVEL_KERNELS = {
-    "empirical-step": "step_levels",
-    "empirical-continuous": "continuous_levels",
-    "brownian": "roynette",
-    "bridge": "roynette",
-}
-
+#: Chunk kernel -> (its function, the ``aggregate`` reducer of each key of
+#: its payload).
 _CHUNK_FUNCTIONS = {
-    "moment": partial(_step_chunk, cells=True),
-    "step_levels": partial(_step_chunk, cells=False),
-    "continuous_levels": _continuous_levels_chunk,
-    "roynette": _roynette_chunk,
+    "moment": (
+        partial(_step_chunk, cells=True),
+        {"cell_sum_s": "sum", "cell_sum_h": "sum", "cell_sum_h2": "sum",
+         "sum_h": "stack", "sum_h2": "stack"},
+    ),
+    "step_levels": (partial(_step_chunk, cells=False), {"sum_h": "stack"}),
+    "continuous_levels": (_continuous_levels_chunk, {"stat_sq": "stack"}),
+    "roynette": (_roynette_chunk, {"stat": "stack"}),
 }
 
 
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Report:
+    """One experiment's report: the ``results`` block of ``<kind>.json``, its
+    per-cell and per-replicate values still float64 arrays, and its CSV
+    tables, file name -> ``(header, rows)``, each row generated as written."""
+
+    kind: str
+    config: ExperimentConfig
+    results: dict
+    tables: dict
+
+    def as_dict(self) -> dict:
+        return {"report": self.kind, "config": self.config.as_dict(), "results": self.results}
 
 
 def _mean_se(values: np.ndarray):
@@ -551,40 +535,20 @@ _ORACLE_ESTIMATES = {
 }
 
 
-@dataclass
-class MomentReport:
-    """Estimated moments with standard errors and oracle cross checks."""
-
-    config: ExperimentConfig
-    R: int
-    cell_stats: dict
-    level_stats: dict
-    oracle_blocks: list
-    coverage: dict
-    nominal_variance_mismatch: bool
-    passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "report": "moments",
-            "config": self.config.as_dict(),
-            "results": {
-                "replicates": self.R,
-                "cell_stats": self.cell_stats,
-                "level_stats": self.level_stats,
-                "oracle": self.oracle_blocks,
-                "coverage": self.coverage,
-                "nominal_variance_mismatch": self.nominal_variance_mismatch,
-                "passed": self.passed,
-            },
-        }
+def _check_moment_sample(config: ExperimentConfig) -> None:
+    n, R = config.n, config.R
+    if n > MAX_MOMENT_SAMPLE:
+        raise ParameterError("n", f"moment experiment caps n at {MAX_MOMENT_SAMPLE}")
+    # int64 per-cell sums over all replicates: |sum S| <= R*n and sum H <= R*n**2.
+    if R * n**2 >= 1 << 63:
+        raise ParameterError(
+            "replicates", f"replicates * n**2 must stay below 2**63 (got {R} at n={n})"
+        )
 
 
-def run_moment_experiment(config: ExperimentConfig) -> MomentReport:
-    """Estimate every tracked moment of the step-process coefficients."""
-    check_run(config, "moments")
-    parts = run_chunked("moment", config)
-    data = aggregate(parts, config.R, _MOMENT_REDUCERS)
+def _moment_report(config: ExperimentConfig, data: dict) -> Report:
+    """Every tracked moment of the step-process coefficients, with standard
+    errors and oracle cross checks."""
     J, n, R = config.J, config.n, config.R
 
     cell_stats = {}
@@ -600,9 +564,9 @@ def run_moment_experiment(config: ExperimentConfig) -> MomentReport:
         }
         cell_stats[j] = {}
         for name, (total, total_sq) in sums.items():
-            mean, se = _mean_se_of_sums(total, total_sq, R)
-            cell_stats[j][f"mean_{name}"] = mean.tolist()
-            cell_stats[j][f"se_{name}"] = se.tolist()
+            cell_stats[j][f"mean_{name}"], cell_stats[j][f"se_{name}"] = _mean_se_of_sums(
+                total, total_sq, R
+            )
 
     level_stats = {}
     for j in range(J + 1):
@@ -666,12 +630,11 @@ def run_moment_experiment(config: ExperimentConfig) -> MomentReport:
     mismatch = not all(block["var_sum_g_matches_nominal"] for block in oracle_blocks)
 
     max_level = min(COVERAGE_MAX_LEVEL, J)
-    covered = [
-        abs(mean - 1.0) <= COVERAGE_SE_MULTIPLIER * se
+    covered = np.concatenate([
+        np.abs(cell_stats[j]["mean_g"] - 1.0) <= COVERAGE_SE_MULTIPLIER * cell_stats[j]["se_g"]
         for j in range(max_level + 1)
-        for mean, se in zip(cell_stats[j]["mean_g"], cell_stats[j]["se_g"])
-    ]
-    hits, total = sum(covered), len(covered)
+    ])
+    hits, total = int(np.count_nonzero(covered)), len(covered)
     coverage = {
         "fraction": hits / total,
         "hits": hits,
@@ -680,63 +643,39 @@ def run_moment_experiment(config: ExperimentConfig) -> MomentReport:
         "se_multiplier": COVERAGE_SE_MULTIPLIER,
         "threshold": COVERAGE_THRESHOLD,
     }
-    passed = coverage["fraction"] >= COVERAGE_THRESHOLD and oracle_ok
-    return MomentReport(
-        config=config,
-        R=R,
-        cell_stats=cell_stats,
-        level_stats=level_stats,
-        oracle_blocks=oracle_blocks,
-        coverage=coverage,
-        nominal_variance_mismatch=mismatch,
-        passed=passed,
+    results = {
+        "replicates": R,
+        "cell_stats": cell_stats,
+        "level_stats": level_stats,
+        "oracle": oracle_blocks,
+        "coverage": coverage,
+        "nominal_variance_mismatch": mismatch,
+        "passed": coverage["fraction"] >= COVERAGE_THRESHOLD and oracle_ok,
+    }
+    # One row per cell and one column per per-cell estimate; one row per level.
+    cells = (
+        [j, k0 + 1, *values]
+        for j, stats in cell_stats.items()
+        for k0, values in enumerate(zip(*(column.tolist() for column in stats.values())))
     )
+    levels = ([j, *values] for j, values in enumerate(zip(*level_stats.values())))
+    return Report("moments", config, results, {
+        "moments_cells.csv": (["j", "k", *cell_stats[0]], cells),
+        "moments_levels.csv": (["j", *level_stats], levels),
+    })
 
 
-@dataclass
-class ConcentrationReport:
-    """Per-level deviation frequencies at one ``n`` against the ``4 * eps`` bound."""
+def _concentration_report(config: ExperimentConfig, data: dict) -> Report:
+    """P(|2**-j sum_k G_jk - 1| >= 1/2) against ``4 * (3 - 3/n)/2**j``.
 
-    config: ExperimentConfig
-    R: int
-    rows: list
-    passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "report": "concentration",
-            "config": self.config.as_dict(),
-            "results": {"replicates": self.R, "rows": self.rows, "passed": self.passed},
-        }
-
-
-def _stacked(name: str, cfg: ExperimentConfig, key: str) -> np.ndarray:
-    """Payload ``key`` of every chunk of kernel ``name``, stacked in replicate order."""
-    return aggregate(run_chunked(name, cfg), cfg.R, {key: "stack"})[key]
-
-
-def _level_event_matrix(cfg: ExperimentConfig):
-    """Per-replicate squared level statistic and in-band events; the step
-    process's events are exact integer comparisons of its int64 ``sum_k H``."""
-    if cfg.process == "empirical-step":
-        sh = _stacked("step_levels", cfg, "sum_h")
-        return sh / cfg.n, (2 * sh >= cfg.n) & (2 * sh <= 3 * cfg.n)
-    stat_sq = _stacked("continuous_levels", cfg, "stat_sq")
-    return stat_sq, (stat_sq >= 0.5) & (stat_sq <= 1.5)
-
-
-def run_concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
-    """Check P(|2**-j sum_k G_jk - 1| >= 1/2) against ``4 * (3 - 3/n)/2**j``.
-
-    One step-process run at ``config.n``, graded at levels ``0..J``; a level
-    passes when its observed frequency does not exceed the bound plus
-    ``CONCENTRATION_SE_MULTIPLIER`` binomial standard errors.  To sweep
-    sample sizes, run it once per ``n``: the streams depend only on the seed
-    and the replicate index.
+    One step-process run at ``config.n``, graded at levels ``0..J`` by exact
+    integer events on ``sum_h``; a level passes when its observed frequency
+    does not exceed the bound plus ``CONCENTRATION_SE_MULTIPLIER`` binomial
+    standard errors.  To sweep sample sizes, run it once per ``n``: the
+    streams depend only on the seed and the replicate index.
     """
-    check_run(config, "concentration")
     n, R = config.n, config.R
-    sh = _stacked("step_levels", config, "sum_h")
+    sh = data["sum_h"]
     deviated = (2 * sh <= n) | (2 * sh >= 3 * n)
     rows = []
     for j in range(config.J + 1):
@@ -745,101 +684,71 @@ def run_concentration_experiment(config: ExperimentConfig) -> ConcentrationRepor
         se = math.sqrt(freq * (1.0 - freq) / R)
         ok = freq <= bound + CONCENTRATION_SE_MULTIPLIER * se
         rows.append({"n": n, "j": j, "frequency": freq, "bound": bound, "se": se, "passed": ok})
-    passed = all(row["passed"] for row in rows)
-    return ConcentrationReport(config=config, R=R, rows=rows, passed=passed)
+    results = {"replicates": R, "rows": rows, "passed": all(row["passed"] for row in rows)}
+    table = (["n", "j", "frequency", "bound", "se", "pass"], (list(row.values()) for row in rows))
+    return Report("concentration", config, results, {"concentration.csv": table})
 
 
-@dataclass
-class SandwichReport:
-    """Band frequencies plus per-replicate sup and tail-min statistics."""
-
-    kind: str
-    config: ExperimentConfig
-    R: int
-    statistic: str
-    band_lo: float
-    band_hi: float
-    target: float | None
-    in_band_freq: list
-    mean_stat: list
-    sd_stat: list
-    sup_stat: np.ndarray
-    tail_min_stat: np.ndarray
-    sup_stat_sq: np.ndarray
-    tail_min_stat_sq: np.ndarray
-    tail_start: int
-    confidence: float
-    passed: bool
-
-    def results_dict(self) -> dict:
-        return {
-            "replicates": self.R,
-            "statistic": self.statistic,
-            "band": [self.band_lo, self.band_hi],
-            "target": self.target,
-            "in_band_frequency": self.in_band_freq,
-            "mean_statistic": self.mean_stat,
-            "sd_statistic": self.sd_stat,
-            "per_replicate": {
-                "sup_stat": [float(x) for x in self.sup_stat],
-                "tail_min_stat": [float(x) for x in self.tail_min_stat],
-                "sup_stat_sq": [float(x) for x in self.sup_stat_sq],
-                "tail_min_stat_sq": [float(x) for x in self.tail_min_stat_sq],
-            },
-            "tail_start": self.tail_start,
-            "confidence": self.confidence,
-            "passed": self.passed,
-        }
-
-    def as_dict(self) -> dict:
-        return {
-            "report": self.kind,
-            "config": self.config.as_dict(),
-            "results": self.results_dict(),
-        }
-
-
-def _band_report(kind, config, stat, stat_sq, in_band, top_levels, confidence, **band):
-    """A ``SandwichReport`` from per-replicate statistics and band events.
+def _band_report(kind, config, stat, stat_sq, in_band, top_levels, confidence, statistic, band,
+                 target=None) -> Report:
+    """Band frequencies plus per-replicate sup and tail-min statistics.
 
     Passes when the in-band frequency at each of the top ``top_levels``
-    levels reaches ``confidence``.
+    levels reaches ``confidence``.  A ``target`` also fills a CSV column.
     """
     J = config.J
     tail_start = tail_window_start(J)
     freq = [float(np.mean(in_band[:, j])) for j in range(J + 1)]
-    return SandwichReport(
-        kind=kind,
-        config=config,
-        R=config.R,
-        in_band_freq=freq,
-        mean_stat=[float(np.mean(stat[:, j])) for j in range(J + 1)],
-        sd_stat=[float(np.std(stat[:, j], ddof=1)) for j in range(J + 1)],
-        sup_stat=stat.max(axis=1),
-        tail_min_stat=stat[:, tail_start:].min(axis=1),
-        sup_stat_sq=stat_sq.max(axis=1),
-        tail_min_stat_sq=stat_sq[:, tail_start:].min(axis=1),
-        tail_start=tail_start,
-        confidence=confidence,
-        passed=all(f >= confidence for f in freq[J + 1 - top_levels :]),
-        **band,
-    )
+    mean = [float(np.mean(stat[:, j])) for j in range(J + 1)]
+    sd = [float(np.std(stat[:, j], ddof=1)) for j in range(J + 1)]
+    results = {
+        "replicates": config.R,
+        "statistic": statistic,
+        "band": list(band),
+        "target": target,
+        "in_band_frequency": freq,
+        "mean_statistic": mean,
+        "sd_statistic": sd,
+        "per_replicate": {
+            "sup_stat": stat.max(axis=1),
+            "tail_min_stat": stat[:, tail_start:].min(axis=1),
+            "sup_stat_sq": stat_sq.max(axis=1),
+            "tail_min_stat_sq": stat_sq[:, tail_start:].min(axis=1),
+        },
+        "tail_start": tail_start,
+        "confidence": confidence,
+        "passed": all(f >= confidence for f in freq[J + 1 - top_levels :]),
+    }
+    extra = {} if target is None else {"target": target}
+    header = ["j", "in_band_frequency", "mean_statistic", "sd_statistic", *extra]
+    rows = ([j, freq[j], mean[j], sd[j], *extra.values()] for j in range(J + 1))
+    return Report(kind, config, results, {f"{kind}.csv": (header, rows)})
 
 
-def run_sandwich_experiment(config: ExperimentConfig) -> SandwichReport:
+def _check_sandwich_levels(config: ExperimentConfig) -> None:
+    if config.J < 10:
+        raise ParameterError("j_max", f"sandwich verification needs j_max >= 10 (got {config.J})")
+
+
+def _sandwich_report(config: ExperimentConfig, data: dict) -> Report:
     """Frequencies of ``1/2 <= 2**-j sum_k |c_jk|**2 <= 3/2`` per level.
 
     Passes when the in-band frequency at the top three levels reaches
     ``SANDWICH_CONFIDENCE``.  Per-replicate sup and tail-min summaries of
     the (unsquared) level statistic back the finite-norm and
-    nonvanishing-tail surrogates.
+    nonvanishing-tail surrogates.  The step process's events are exact
+    integer comparisons of its int64 ``sum_k H``.
     """
-    check_run(config, "sandwich")
-    stat_sq, in_band = _level_event_matrix(config)
+    n = config.n
+    if config.process == "empirical-step":
+        sh = data["sum_h"]
+        stat_sq, in_band = sh / n, (2 * sh >= n) & (2 * sh <= 3 * n)
+    else:
+        stat_sq = data["stat_sq"]
+        in_band = (stat_sq >= 0.5) & (stat_sq <= 1.5)
     return _band_report(
         "sandwich", config, np.sqrt(stat_sq), stat_sq, in_band,
-        top_levels=3, confidence=SANDWICH_CONFIDENCE,
-        statistic="squared_level", band_lo=0.5, band_hi=1.5, target=None,
+        top_levels=3, confidence=SANDWICH_CONFIDENCE, statistic="squared_level", band=(0.5, 1.5),
     )
 
 
@@ -849,7 +758,7 @@ def absolute_moment_target(p: float) -> float:
     return math.exp(log_moment / p)
 
 
-def run_roynette_experiment(config: ExperimentConfig) -> SandwichReport:
+def _roynette_report(config: ExperimentConfig, data: dict) -> Report:
     """Level statistics ``(2**-j sum |g_jk|**p) ** (1/p)`` of Gaussian paths.
 
     The statistic concentrates at ``(E |N(0,1)|**p) ** (1/p)``; the report
@@ -858,13 +767,102 @@ def run_roynette_experiment(config: ExperimentConfig) -> SandwichReport:
     Bridge and motion share level coefficients, so their reports carry
     identical results for equal seeds.
     """
-    check_run(config, "roynette")
-    stat = _stacked("roynette", config, "stat")
+    stat = data["stat"]
     target = absolute_moment_target(config.p)
     lo = target - config.roynette_band_halfwidth
     hi = target + config.roynette_band_halfwidth
     return _band_report(
         "roynette", config, stat, stat**2, (stat >= lo) & (stat <= hi),
-        top_levels=1, confidence=ROYNETTE_CONFIDENCE,
-        statistic="level", band_lo=lo, band_hi=hi, target=target,
+        top_levels=1, confidence=ROYNETTE_CONFIDENCE, statistic="level", band=(lo, hi),
+        target=target,
     )
+
+
+# ---------------------------------------------------------------------------
+# Experiments and the planner
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """The experiment ``verify-<kind>`` runs: its ``_CHUNK_FUNCTIONS`` kernel
+    for each process (the first is the default), the other settings it
+    reads, its pre-draw ``check``, its ``held_bytes`` model (``run_bytes``),
+    the pure ``build(config, aggregated) -> Report``, and the least max level
+    it runs at in ``verify-all``."""
+
+    kernels: dict
+    reads: tuple
+    held_bytes: tuple
+    build: Callable
+    check: Callable = lambda config: None
+    suite_level: int = 0
+
+
+#: ``verify-<kind>`` -> its experiment.  Held bytes are per finest cell
+#: (``2**(J+1)``), per finest cell and chunk (per-cell sums held until they
+#: are summed), per replicate and level, and per replicate (a band report's
+#: arrays): -2% to +15% of moments peaks at J = 12..19 with 37 MiB of
+#: interpreter, 30 to 90% over the others' at n = 10, R = 2 * 10**5.
+EXPERIMENTS = {
+    "moments": Experiment(
+        kernels={"empirical-step": "moment"},
+        reads=("n", "J", "R", "seed"),
+        held_bytes=(400, 24, 48, 0),
+        build=_moment_report,
+        check=_check_moment_sample,
+    ),
+    "concentration": Experiment(
+        kernels={"empirical-step": "step_levels"},
+        reads=("n", "J", "R", "seed"),
+        held_bytes=(0, 0, 32, 0),
+        build=_concentration_report,
+    ),
+    "sandwich": Experiment(
+        kernels={"empirical-step": "step_levels", "empirical-continuous": "continuous_levels"},
+        reads=("n", "J", "R", "seed"),
+        held_bytes=(0, 0, 32, 160),
+        build=_sandwich_report,
+        check=_check_sandwich_levels,
+    ),
+    "roynette": Experiment(
+        kernels={"brownian": "roynette", "bridge": "roynette"},
+        reads=("J", "R", "p", "seed", "roynette_band_halfwidth"),
+        held_bytes=(0, 0, 32, 160),
+        build=_roynette_report,
+        suite_level=14,
+    ),
+}
+
+
+def run_experiments(configs: dict):
+    """Check every run of ``configs`` (``EXPERIMENTS`` key -> config) and the
+    batched streams before any draw, then return an iterator that runs,
+    aggregates and builds each run in order and yields ``(kind, report)``.
+    ``run_chunked`` and ``aggregate`` are looked up in this module on every
+    call, so a replaced attribute takes effect."""
+    for kind, config in configs.items():
+        check_run(config, kind)
+    check_streams()
+    return ((kind, _run(kind, config)) for kind, config in configs.items())
+
+
+def _run(kind: str, config: ExperimentConfig) -> Report:
+    experiment = EXPERIMENTS[kind]
+    kernel = experiment.kernels[config.process]
+    data = aggregate(run_chunked(kernel, config), config.R, _CHUNK_FUNCTIONS[kernel][1])
+    return experiment.build(config, data)
+
+
+def _run_one(kind: str, config: ExperimentConfig) -> Report:
+    """The report of one ``verify-<kind>`` run of ``config``."""
+    ((_, report),) = run_experiments({kind: config})
+    return report
+
+
+# One-experiment entry points; perfbench/tracing.py wraps them as this
+# module's attributes.
+run_moment_experiment = partial(_run_one, "moments")
+run_concentration_experiment = partial(_run_one, "concentration")
+run_sandwich_experiment = partial(_run_one, "sandwich")
+run_roynette_experiment = partial(_run_one, "roynette")

@@ -20,11 +20,13 @@ reject (odds about ``2**-53`` a word) is drawn again by the reference.
 These paths lean on numpy internals (the ``SeedSequence`` algorithm, the
 ``Philox`` state layout and the Lemire bound); ``tests/test_sampling.py``
 pins all three to the reference, so a numpy change that moves them fails
-the tests instead of moving a report.
+the tests instead of moving a report, and ``check_streams`` checks them on
+the running numpy before a verification run's first draw.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -275,3 +277,22 @@ def _lattice_samples(lattice: np.ndarray) -> np.ndarray:
     if np.any(lattice[:, 1:] == lattice[:, :-1]):
         raise TiesError(f"tied observations in a sample of size {lattice.shape[1]}")
     return lattice / float(_MANTISSA)
+
+
+@functools.cache
+def check_streams() -> None:
+    """Raise ``ParameterError("numpy", ...)`` unless one ``uniform_samples`` row
+    and the first normals of one ``stream_generators`` stream (index above
+    ``2**32``: a two-word key) match the reference on the running numpy.
+    Cached once passed, so it runs once per process."""
+    seed, index = 42, (1 << 32) + 7
+    batched = uniform_samples(16, seed, 0, 1)[0]
+    reference = sample_uniform(16, SeedSpec(seed, 0, UNIFORM_STREAM)).sorted_values
+    normals = next(stream_generators(seed, index, 1, GAUSSIAN_STREAM)).standard_normal(4)
+    expected = make_generator(SeedSpec(seed, index, GAUSSIAN_STREAM)).standard_normal(4)
+    if not (np.array_equal(batched, reference) and np.array_equal(normals, expected)):
+        raise ParameterError(
+            "numpy",
+            f"numpy {np.__version__} moved the SeedSequence hash, the Philox state or the Lemire"
+            " bound that the batched draws rebuild; no report is written",
+        )

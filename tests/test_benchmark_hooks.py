@@ -7,6 +7,7 @@ tightened bound would otherwise only fail inside the benchmark.  The
 perfbench modules are loaded from their files and left unchanged.
 """
 
+import filecmp
 import importlib.util
 import os
 import sys
@@ -57,3 +58,24 @@ def test_workload_passes_pre_draw_checks(name, tmp_path, monkeypatch):
     argv = workload.argv(42, str(tmp_path / "out"), workload.write_config(str(tmp_path)))
     with pytest.raises(ReachedDraws):
         cli.main(argv)
+
+
+def test_traced_verify_all_sees_every_run(tmp_path, capsys):
+    # The traced run wraps ``run_chunked`` and ``aggregate`` as montecarlo's
+    # attributes; a planner that bound either by reference would hide every
+    # chunk run from the benchmark.  Traced runs stay in-process at 1 worker
+    # and must leave the report tree as the untraced run writes it.
+    argv = ["verify-all", "--seed", "42", "--n", "20", "--j-max", "10", "--replicates", "100"]
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    code = cli.main(argv + ["--workers", "1", "--out", str(plain)])
+    recorder = TRACING.Recorder()
+    with TRACING.patched(recorder):
+        assert cli.main(argv + ["--workers", "2", "--out", str(traced)]) == code
+    names = [span[0] for span in recorder.spans]
+    assert names.count("montecarlo.run_chunked") == 4
+    assert names.count("montecarlo.aggregate") == 4
+    assert recorder.counters["montecarlo.replicates"] == 400
+    files = sorted(os.listdir(plain))
+    assert files == sorted(os.listdir(traced))
+    _, mismatch, errors = filecmp.cmpfiles(plain, traced, files, shallow=False)
+    assert not mismatch and not errors, (mismatch, errors)

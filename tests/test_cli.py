@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import besov_empirica
-from besov_empirica import besov, cli, dyadic, montecarlo
+from besov_empirica import besov, cli, dyadic, montecarlo, sampling
 from besov_empirica.cli import emit_plot_data, main
 from besov_empirica.errors import ParameterError
 from besov_empirica.montecarlo import (
@@ -341,6 +341,81 @@ class TestUsageErrors:
         assert "replicates" in err and ">= 100" in err
 
 
+class TestOutputErrors:
+    """A file that cannot be written ends in exit 1 and one line naming the
+    flag that asked for it."""
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "F"
+        out.write_text("kept")
+        assert run_cli("verify-sandwich", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out: ") and "File exists" in err, err
+        assert err.count("\n") == 1
+        assert out.read_text() == "kept"
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["simulate-bm", "--out", "{missing}"], "out"),
+            (["simulate-empirical", "--out", "{missing}"], "out"),
+            (["coeffs", "--path", "{path}", "--out", "{missing}"], "out"),
+            (["norm", "--coeffs", "{coeffs}", "--out", "{missing}"], "out"),
+            (["norm", "--coeffs", "{coeffs}", "--profile", "{missing}"], "profile"),
+        ],
+        ids=["simulate-bm", "simulate-empirical", "coeffs", "norm-out", "norm-profile"],
+    )
+    def test_missing_directory_names_the_flag(self, tmp_path, capsys, argv, key):
+        files = {
+            "missing": str(tmp_path / "missing" / "x.json"),
+            "path": str(tmp_path / "path.json"),
+            "coeffs": str(tmp_path / "coeffs.json"),
+        }
+        assert run_cli("simulate-bm", "--j-max", "8", "--out", files["path"]) == 0
+        assert run_cli("coeffs", "--path", files["path"], "--out", files["coeffs"]) == 0
+        capsys.readouterr()
+        assert run_cli(*(arg.format(**files) for arg in argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and "No such file or directory" in err, err
+        assert err.count("\n") == 1
+
+
+def _lattice_off_by_one(words):
+    lattice, rejected = _LEMIRE_LATTICE(words)
+    return lattice + 1, rejected
+
+
+def _gaussian_streams_shifted(master_seed, start, count, label):
+    shift = label == sampling.GAUSSIAN_STREAM
+    return _STREAM_GENERATORS(master_seed, start + shift, count, label)
+
+
+_LEMIRE_LATTICE = sampling.lemire_lattice
+_STREAM_GENERATORS = sampling.stream_generators
+
+
+@pytest.mark.parametrize(
+    "attr,stand_in",
+    [("lemire_lattice", _lattice_off_by_one), ("stream_generators", _gaussian_streams_shifted)],
+    ids=["uniform-lattice", "gaussian-keys"],
+)
+def test_numpy_guard_stops_before_out(tmp_path, capsys, monkeypatch, attr, stand_in):
+    # Batched draws that no longer match the reference streams, as a numpy
+    # that moved its Lemire bound or its SeedSequence hash would give.
+    monkeypatch.setattr(sampling, attr, stand_in)
+    sampling.check_streams.cache_clear()
+    out = tmp_path / "o"
+    try:
+        code = run_cli("verify-moments", "--n", "3", "--j-max", "6", "--replicates", "100",
+                       "--out", str(out))
+    finally:
+        sampling.check_streams.cache_clear()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: numpy: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 class TestSimulate:
     def test_simulate_defaults(self, tmp_path, capsys):
         out = tmp_path / "coeffs.json"
@@ -517,10 +592,12 @@ def test_readme_lists_settings_each_command_reads():
     }
     key = lambda field: montecarlo.CONFIG_KEYS.get(field, field)
     expected = {
-        kind: (processes, [key(field) for field in reads])
-        for kind, (processes, reads) in montecarlo.EXPERIMENTS.items()
+        kind: (tuple(experiment.kernels), [key(field) for field in experiment.reads])
+        for kind, experiment in montecarlo.EXPERIMENTS.items()
     }
-    suite = dict.fromkeys(key(field) for _, reads in montecarlo.EXPERIMENTS.values() for field in reads)
+    suite = dict.fromkeys(
+        key(field) for experiment in montecarlo.EXPERIMENTS.values() for field in experiment.reads
+    )
     expected["all"] = ((), list(suite))
     assert documented == expected
 
@@ -528,7 +605,7 @@ def test_readme_lists_settings_each_command_reads():
 def test_every_setting_is_read_by_some_experiment():
     # A field no experiment reads would be accepted by verify-all and read
     # nowhere.
-    read = {field for _, reads in montecarlo.EXPERIMENTS.values() for field in reads}
+    read = {field for experiment in montecarlo.EXPERIMENTS.values() for field in experiment.reads}
     for key, (field, _) in montecarlo.config_schema().items():
         assert field in read | {"process", *montecarlo.RUN_ONLY_FIELDS}, key
 
@@ -563,7 +640,7 @@ class TestPlotData:
         cfg = ExperimentConfig(n=100, J=12, R=200, seed=5)
         report = run_concentration_experiment(cfg)
         out = tmp_path / "conc.csv"
-        emit_plot_data(report, out)
+        dyadic.write_csv(out, *report.tables["concentration.csv"])
         rows = read_report_csv(out)
         assert len(rows) == 13
         for row in rows:
@@ -573,19 +650,19 @@ class TestPlotData:
     def test_sandwich_csv_round_trip(self, tmp_path):
         report = run_sandwich_experiment(ExperimentConfig(n=50, J=10, R=150, seed=5))
         out = tmp_path / "sand.csv"
-        emit_plot_data(report, out)
+        dyadic.write_csv(out, *report.tables["sandwich.csv"])
         rows = read_report_csv(out)
         assert len(rows) == 11
         for j, row in enumerate(rows):
-            assert float(row["in_band_frequency"]) == report.in_band_freq[j]
+            assert float(row["in_band_frequency"]) == report.results["in_band_frequency"][j]
 
     def test_moment_cells_csv(self, tmp_path):
         report = run_moment_experiment(ExperimentConfig(n=10, J=6, R=150, seed=5))
         out = tmp_path / "cells.csv"
-        emit_plot_data(report, out)
+        dyadic.write_csv(out, *report.tables["moments_cells.csv"])
         rows = read_report_csv(out)
         assert len(rows) == (1 << 7) - 1
-        assert float(rows[0]["mean_g"]) == report.cell_stats[0]["mean_g"][0]
+        assert float(rows[0]["mean_g"]) == report.results["cell_stats"][0]["mean_g"][0]
 
 
 class TestVerifyCommands:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import pickle
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besov_empirica import montecarlo
+from besov_empirica import cli, montecarlo
 from besov_empirica.besov import BesovParams, level_statistic
 from besov_empirica.empirical import halfcell_counts, signed_sums_by_level
 from besov_empirica.errors import AggregationError, ParameterError
@@ -48,6 +49,11 @@ from besov_empirica.sampling import (
 from conftest import dense_continuous_coefficients, exact_cell_values
 
 SEED = 42
+
+
+def _json(doc) -> str:
+    """``doc`` serialized as ``dyadic.write_json`` writes it, arrays as lists."""
+    return json.dumps(doc, sort_keys=True, default=np.ndarray.tolist)
 
 
 class TestConfigValidation:
@@ -104,9 +110,9 @@ _OTHER_VALUES = {"n": 7, "p": 4.0, "roynette_band_halfwidth": 0.2}
 #: (experiment, field) for every field outside the experiment's table entry.
 _UNREAD = [
     (kind, f.name)
-    for kind, (_, reads) in EXPERIMENTS.items()
+    for kind, experiment in EXPERIMENTS.items()
     for f in fields(ExperimentConfig)
-    if f.name not in reads + RUN_ONLY_FIELDS
+    if f.name not in experiment.reads + RUN_ONLY_FIELDS
 ]
 
 
@@ -117,7 +123,7 @@ class TestSettingsTable:
             raise AssertionError("drew replicates")
 
         monkeypatch.setattr(montecarlo, "run_chunked", no_draws)
-        processes, _ = EXPERIMENTS[kind]
+        processes = tuple(EXPERIMENTS[kind].kernels)
         cfg = ExperimentConfig(process=processes[0], J=10, R=100)
         if field == "process":
             cfg = replace(cfg, process=next(p for p in PROCESSES if p not in processes))
@@ -265,7 +271,7 @@ class TestChunkPeakEstimate:
     )
     def test_traced_peak_within_estimate(self, kernel, process, n, J, count):
         cfg = ExperimentConfig(process=process, n=n, J=J, R=max(count, 100), chunk_size=count)
-        chunk = _CHUNK_FUNCTIONS[kernel]
+        chunk, _ = _CHUNK_FUNCTIONS[kernel]
         chunk(cfg, 0, 2)  # first-call allocations are not the chunk's
         tracemalloc.start()
         try:
@@ -274,6 +280,36 @@ class TestChunkPeakEstimate:
         finally:
             tracemalloc.stop()
         assert peak <= chunk_peak_bytes(kernel, n, J, count)
+
+
+class TestRunBytesEstimate:
+    """``check_run`` counts ``run_bytes``: at one worker, the record's
+    ``held_bytes`` model plus one chunk peak.  It must not fall below what
+    running and writing one experiment holds at its peak: the chunks,
+    ``aggregate``, the report build, and the JSON and CSV writes."""
+
+    @pytest.mark.parametrize(
+        "kind,process,n,J,R",
+        [
+            ("moments", "empirical-step", 100, 12, 2000),
+            ("moments", "empirical-step", 3, 14, 500),
+            ("concentration", "empirical-step", 10, 12, 20_000),
+            ("sandwich", "empirical-step", 10, 12, 20_000),
+            ("sandwich", "empirical-continuous", 10, 12, 20_000),
+            ("roynette", "brownian", 100, 10, 20_000),
+        ],
+    )
+    def test_traced_peak_within_estimate(self, tmp_path, capsys, kind, process, n, J, R):
+        cfg = ExperimentConfig(process=process, n=n, J=J, R=R, seed=SEED)
+        out = argparse.Namespace(out=str(tmp_path))
+        cli._verify({kind: replace(cfg, R=100)}, out)  # first-call allocations are not the run's
+        tracemalloc.start()
+        try:
+            cli._verify({kind: cfg}, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= montecarlo.run_bytes(cfg, kind)
 
 
 def _sample_stream(cfg, start, count):
@@ -384,13 +420,13 @@ class TestContinuousKernel:
 class TestMoments:
     def test_oracle_agreement_small_instance(self):
         cfg = ExperimentConfig(n=3, J=6, R=4000, seed=SEED, chunk_size=500)
-        report = run_moment_experiment(cfg)
-        assert report.nominal_variance_mismatch
-        assert report.oracle_blocks, "enumerable instance should attach oracle blocks"
-        for block in report.oracle_blocks:
+        results = run_moment_experiment(cfg).results
+        assert results["nominal_variance_mismatch"]
+        assert results["oracle"], "enumerable instance should attach oracle blocks"
+        for block in results["oracle"]:
             for comp in block["comparisons"]:
                 assert comp["within"], comp
-        assert report.passed
+        assert results["passed"]
 
     def test_gaussian_process_rejected(self):
         with pytest.raises(ParameterError):
@@ -398,17 +434,17 @@ class TestMoments:
 
     def test_centered_coefficients(self):
         cfg = ExperimentConfig(n=100, J=6, R=2000, seed=SEED)
-        report = run_moment_experiment(cfg)
-        mean_alpha = np.asarray(report.cell_stats[5]["mean_alpha"])
-        se_alpha = np.asarray(report.cell_stats[5]["se_alpha"])
+        cell_stats = run_moment_experiment(cfg).results["cell_stats"]
+        mean_alpha = np.asarray(cell_stats[5]["mean_alpha"])
+        se_alpha = np.asarray(cell_stats[5]["se_alpha"])
         assert np.all(np.abs(mean_alpha) <= 4.0 * se_alpha)
         assert np.mean(np.abs(mean_alpha) <= 3.0 * se_alpha) >= 0.9
 
     def test_mean_g_near_one(self):
         cfg = ExperimentConfig(n=100, J=6, R=2000, seed=SEED)
-        report = run_moment_experiment(cfg)
-        assert report.coverage["fraction"] >= 0.99
-        assert report.passed
+        results = run_moment_experiment(cfg).results
+        assert results["coverage"]["fraction"] >= 0.99
+        assert results["passed"]
 
     def test_worker_count_invariance(self):
         # Worker count is not part of a report, so the serialized documents
@@ -430,8 +466,8 @@ class TestMoments:
             docs = set()
             for chunk_size in (50, 70):
                 base = replace(config, chunk_size=chunk_size)
-                solo = json.dumps(runner(base).as_dict(), sort_keys=True)
-                multi = json.dumps(runner(replace(base, workers=2)).as_dict(), sort_keys=True)
+                solo = _json(runner(base).as_dict())
+                multi = _json(runner(replace(base, workers=2)).as_dict())
                 assert solo == multi
                 docs.add(solo)
             assert len(docs) == 1, config.process
@@ -440,13 +476,15 @@ class TestMoments:
 class TestConcentration:
     def test_rows_and_bound_formula(self):
         for n in (10, 100):
-            report = run_concentration_experiment(ExperimentConfig(n=n, J=12, R=400, seed=SEED))
-            assert [(row["n"], row["j"]) for row in report.rows] == [(n, j) for j in range(13)]
-            for row in report.rows:
+            results = run_concentration_experiment(
+                ExperimentConfig(n=n, J=12, R=400, seed=SEED)
+            ).results
+            assert [(row["n"], row["j"]) for row in results["rows"]] == [(n, j) for j in range(13)]
+            for row in results["rows"]:
                 expected = 4.0 * (3.0 - 3.0 / n) / (1 << row["j"])
                 assert row["bound"] == expected
                 assert 0.0 <= row["frequency"] <= 1.0
-            assert report.passed
+            assert results["passed"]
 
     def test_bound_decreases_geometrically(self):
         bounds = [chebyshev_deviation_bound(100, j) for j in range(4, 13)]
@@ -455,8 +493,8 @@ class TestConcentration:
 
     def test_single_n_default(self):
         cfg = ExperimentConfig(n=50, J=8, R=200, seed=SEED)
-        report = run_concentration_experiment(cfg)
-        assert {row["n"] for row in report.rows} == {50}
+        rows = run_concentration_experiment(cfg).results["rows"]
+        assert {row["n"] for row in rows} == {50}
 
 
 class TestSandwich:
@@ -472,17 +510,16 @@ class TestSandwich:
 
     def test_step_experiment(self):
         cfg = ExperimentConfig(n=100, J=12, R=500, seed=SEED)
-        report = run_sandwich_experiment(cfg)
-        assert report.passed
-        assert all(f >= 0.95 for f in report.in_band_freq[-3:])
-        assert report.tail_start == 9
-        assert report.sup_stat.shape == (500,)
-        assert np.all(report.tail_min_stat >= 0.0)
+        results = run_sandwich_experiment(cfg).results
+        assert results["passed"]
+        assert all(f >= 0.95 for f in results["in_band_frequency"][-3:])
+        assert results["tail_start"] == 9
+        assert results["per_replicate"]["sup_stat"].shape == (500,)
+        assert np.all(results["per_replicate"]["tail_min_stat"] >= 0.0)
 
     def test_in_band_frequency_trend(self):
         cfg = ExperimentConfig(n=100, J=12, R=500, seed=SEED)
-        report = run_sandwich_experiment(cfg)
-        freq = report.in_band_freq
+        freq = run_sandwich_experiment(cfg).results["in_band_frequency"]
         noise = 3.0 * math.sqrt(0.25 / cfg.R)
         for j in range(6, cfg.J):
             assert freq[j + 1] >= freq[j] - noise
@@ -491,8 +528,8 @@ class TestSandwich:
         cfg = ExperimentConfig(
             process="empirical-continuous", n=100, J=10, R=150, seed=SEED
         )
-        report = run_sandwich_experiment(cfg)
-        assert len(report.in_band_freq) == 11
+        results = run_sandwich_experiment(cfg).results
+        assert len(results["in_band_frequency"]) == 11
 
     def test_tail_window_band_frequency(self):
         # Over replicates, the squared statistic stays inside [1/2, 3/2] on
@@ -519,10 +556,10 @@ class TestSandwich:
 class TestRoynette:
     def test_level_statistic_concentrates_p2(self):
         cfg = ExperimentConfig(process="brownian", J=12, R=300, seed=SEED)
-        report = run_roynette_experiment(cfg)
-        assert report.passed
-        assert report.in_band_freq[-1] >= 0.99
-        assert report.mean_stat[-1] == pytest.approx(1.0, abs=0.01)
+        results = run_roynette_experiment(cfg).results
+        assert results["passed"]
+        assert results["in_band_frequency"][-1] >= 0.99
+        assert results["mean_statistic"][-1] == pytest.approx(1.0, abs=0.01)
 
     def test_fourth_power_target(self):
         assert absolute_moment_target(2.0) == pytest.approx(1.0, rel=1e-12)
@@ -530,16 +567,14 @@ class TestRoynette:
         cfg = ExperimentConfig(
             process="brownian", J=10, R=300, seed=SEED, p=4.0, roynette_band_halfwidth=0.05
         )
-        report = run_roynette_experiment(cfg)
-        assert report.mean_stat[-1] == pytest.approx(3.0**0.25, abs=0.02)
+        results = run_roynette_experiment(cfg).results
+        assert results["mean_statistic"][-1] == pytest.approx(3.0**0.25, abs=0.02)
 
     def test_bridge_report_identical_to_motion(self):
         base = ExperimentConfig(process="brownian", J=10, R=200, seed=SEED)
         motion = run_roynette_experiment(base)
         bridge = run_roynette_experiment(replace(base, process="bridge"))
-        assert json.dumps(motion.results_dict(), sort_keys=True) == json.dumps(
-            bridge.results_dict(), sort_keys=True
-        )
+        assert _json(motion.results) == _json(bridge.results)
 
     def test_requires_gaussian_process(self):
         with pytest.raises(ParameterError):
