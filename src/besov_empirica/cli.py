@@ -86,20 +86,14 @@ _write_csv = dyadic.write_csv
 PROFILE_HEADER = ["j", "level_statistic", "running_sup", "tail_min"]
 
 
-def emit_plot_data(profile, path) -> None:
+def emit_plot_data(profile: besov.LevelProfile, path) -> None:
     """Write the plot-ready CSV rows of a level profile (``norm --profile``).
 
     ``tail_min`` is the suffix minimum from level j upward, so the scalar
-    tail minimum is the value at the tail window start.  ``None`` or an
-    empty row list writes the header only.
+    tail minimum is the value at the tail window start.
     """
-    if isinstance(profile, besov.LevelProfile):
-        columns = zip(profile.levels, profile.running_sup, profile.suffix_min)
-        rows = ([j, float(v), float(sup), float(tail)] for j, (v, sup, tail) in enumerate(columns))
-    elif profile is None or (isinstance(profile, (list, tuple)) and len(profile) == 0):
-        rows = []
-    else:
-        raise ParameterError("plot_data", f"no plot emitter for {type(profile).__name__}")
+    columns = zip(profile.levels, profile.running_sup, profile.suffix_min)
+    rows = ([j, float(v), float(sup), float(tail)] for j, (v, sup, tail) in enumerate(columns))
     _write_csv(path, PROFILE_HEADER, rows)
 
 

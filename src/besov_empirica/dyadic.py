@@ -151,9 +151,8 @@ def scale_triangle(coeffs: CoefficientTriangle, c: float) -> CoefficientTriangle
 
 # ---------------------------------------------------------------------------
 # Serialization.  JSON uses Python's shortest-repr floats, so a dump/load
-# round trip is bit exact.  The CSV form is the flat (j, k, value) table with
-# 1-based k and carries the level coefficients only.  ``write_json`` and
-# ``write_csv`` write every JSON document and CSV table of the package.
+# round trip is bit exact.  ``write_json`` and ``write_csv`` write every JSON
+# document and CSV table of the package.
 # ---------------------------------------------------------------------------
 
 
@@ -227,34 +226,6 @@ def load_triangle_json(path):
     """Read a triangle file, returning ``(triangle, metadata_or_None)``."""
     doc = read_json_object(path, "coeffs")
     return triangle_from_dict(doc), doc.get("metadata")
-
-
-def write_triangle_csv(coeffs: CoefficientTriangle, path) -> None:
-    rows = (
-        [j, k0 + 1, value] for j, lev in enumerate(coeffs.levels) for k0, value in enumerate(lev)
-    )
-    write_csv(path, ["j", "k", "value"], rows)
-
-
-def read_triangle_csv(path) -> CoefficientTriangle:
-    """Rebuild a triangle from the flat CSV; the boundary pair is not part
-    of the CSV schema and comes back as zeros."""
-    rows = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows[(int(row["j"]), int(row["k"]))] = float(row["value"])
-    if not rows:
-        raise ParameterError("coeffs", "empty coefficient CSV")
-    J = max(j for j, _ in rows)
-    levels = []
-    for j in range(J + 1):
-        lev = np.empty(1 << j, dtype=np.float64)
-        for k in range(1, (1 << j) + 1):
-            if (j, k) not in rows:
-                raise ParameterError("coeffs", f"missing CSV entry (j={j}, k={k})")
-            lev[k - 1] = rows[(j, k)]
-        levels.append(lev)
-    return CoefficientTriangle(J=J, mu0=0.0, mu1=0.0, levels=tuple(levels))
 
 
 def path_to_dict(path_values: DyadicPathValues) -> dict:

@@ -10,21 +10,22 @@ processes ran the chunks or in which order they finished.  Each experiment
 is one ``Experiment`` record, and ``run_experiments`` plans, runs and builds
 the ``Report`` of every run.
 
-The empirical chunk kernels are batched: each draws a chunk's uniform
-samples as one sorted matrix (``sampling.uniform_samples``: the chunk's
-stream keys derived at once, one generator re-keyed per stream, and all its
-raw words mapped to lattice integers in one pass) and sums,
-level by level, the occupied cells that ``empirical.level_cells`` yields
-for the whole chunk, O(n) per level and replicate
-(``empirical_coefficients`` scatters the same cells into a triangle).
+The empirical chunk kernels are one batched function, ``_levels_chunk``:
+it draws a chunk's uniform samples as one sorted matrix
+(``sampling.uniform_samples``: the chunk's stream keys derived at once, one
+generator re-keyed per stream, and all its raw words mapped to lattice
+integers in one pass) and sums, level by level, the squares of the occupied
+cells' values that ``empirical.level_cells`` yields for the whole chunk,
+O(n) per level and replicate (``empirical_coefficients`` scatters the same
+cells into a triangle).  A process name only picks the cell source.
 Step-process payloads are integers (per-replicate level sums of
 ``H = S**2`` and ``H**2``, per-cell sums of ``S`` and ``H``; per-cell sums
-of ``H**2`` are float64, exact below ``2**53``).  The coefficient scalings
-``2**(j/2)/sqrt(n)`` and ``2**j/n`` are applied when the report is built.
-All step band and deviation events reduce to integer comparisons on the
-per-level score sums (``2*sum_h <= n`` etc.), so event counts carry no
-rounding at all.  The continuous-version kernel sums the squares of the
-second differences ``n * d`` of its knots' cells.
+of ``H**2`` are float64, exact below ``2**53``); the continuous version's
+level sums of the squared second differences ``(n * d)**2`` are float64.
+The coefficient scalings ``2**(j/2)/sqrt(n)`` and ``2**j/n`` are applied
+when the report is built.  Band and deviation events compare the doubled
+level sums with ``n`` and ``3n`` (``2*sum_h <= n`` etc.); doubling is
+exact, so event counts carry no rounding on either payload.
 
 The Gaussian kernel reads level statistics straight from the synthesis
 draws, which are the path's level coefficients: it rebuilds no path and
@@ -186,8 +187,6 @@ class ExperimentConfig:
             raise ParameterError("process", f"must be one of {PROCESSES} (got {self.process!r})")
         if self.n < 2:
             raise ParameterError("n", f"must be >= 2 (got {self.n})")
-        if self.process.startswith("empirical-"):  # Gaussian runs draw no sample points.
-            check_sample_points(self.n, self.chunk_size)
         if self.J < 6:
             raise ParameterError("j_max", f"must be >= 6 (got {self.J})")
         check_max_level(self.J)
@@ -266,11 +265,16 @@ def check_run(config: ExperimentConfig, kind: str) -> None:
     """Reject, before any draw, a ``verify-<kind>`` run that cannot go ahead.
 
     ``kind`` is an ``EXPERIMENTS`` key.  Checks ``check_settings``, the
+    sample-point cap of a kernel that stacks sample points, the
     experiment's own bounds (its record's ``check``), and ``run_bytes``
-    against ``MAX_RUN_BYTES``.
+    against ``MAX_RUN_BYTES``.  The level cap stays in ``ExperimentConfig``:
+    ``run_bytes`` must never see an unchecked ``J``.
     """
     check_settings(config, kind)
-    EXPERIMENTS[kind].check(config)
+    experiment = EXPERIMENTS[kind]
+    if CHUNK_PEAK_BYTES[experiment.kernels[config.process]][0]:
+        check_sample_points(config.n, config.chunk_size)
+    experiment.check(config)
     held = run_bytes(config, kind)
     if held > MAX_RUN_BYTES:
         # Blame the workers if one would do, else the replicates unless even
@@ -413,15 +417,18 @@ def _uniform_chunk(cfg: ExperimentConfig, start: int, count: int) -> np.ndarray:
     return uniform_samples(cfg.n, cfg.seed, start, count)
 
 
-def _step_chunk(cfg: ExperimentConfig, start: int, count: int, cells: bool) -> ChunkResult:
-    """Integer level sums of the step process for one chunk, all levels at once.
+def _levels_chunk(cfg: ExperimentConfig, start: int, count: int, source: str,
+                  cells: bool = False) -> ChunkResult:
+    """Level sums of squared ``level_cells`` values for one chunk, all levels at once.
 
-    Sums the score sums ``S`` of ``level_cells`` into the per-replicate
-    ``sum_k H`` (``H = S**2``) and, when ``cells`` is set, ``sum_k H**2``
+    Sums the cell values ``v`` of ``source`` into the per-replicate
+    ``sum_h = sum_k v**2``: int64 ``sum_k H`` (``H = S**2``) for the score
+    sums ``S`` of ``"step"``, float64 ``sum_k (n * d)**2`` for
+    ``"continuous"``.  When ``cells`` is set (step only), also ``sum_k H**2``
     plus per-cell sums of ``S``, ``H`` and ``H**2`` over the chunk.
     """
     J = cfg.J
-    sum_h = np.empty((count, J + 1), dtype=np.int64)
+    sum_h = np.empty((count, J + 1), dtype=np.int64 if source == "step" else np.float64)
     payload = {"sum_h": sum_h}
     if cells:
         ncells = (1 << (J + 1)) - 1
@@ -430,28 +437,18 @@ def _step_chunk(cfg: ExperimentConfig, start: int, count: int, cells: bool) -> C
         cell_h = np.zeros(ncells, dtype=np.int64)
         cell_h2 = np.zeros(ncells)
         payload.update(sum_h2=sum_h2, cell_sum_s=cell_s, cell_sum_h=cell_h, cell_sum_h2=cell_h2)
-    levels = level_cells(_uniform_chunk(cfg, start, count), J, "step")
-    for j, (first, occupied, s) in enumerate(levels):
-        h = s * s
+    levels = level_cells(_uniform_chunk(cfg, start, count), J, source)
+    for j, (first, occupied, v) in enumerate(levels):
+        h = v * v
         sum_h[:, j] = np.add.reduceat(h, first)
         if cells:
             hh = h * h
             sum_h2[:, j] = np.add.reduceat(hh, first)
             k0 = occupied + ((1 << j) - 1)
-            np.add.at(cell_s, k0, s)
+            np.add.at(cell_s, k0, v)
             np.add.at(cell_h, k0, h)
             np.add.at(cell_h2, k0, hh.astype(np.float64))
     return ChunkResult(start=start, count=count, payload=payload)
-
-
-def _continuous_levels_chunk(cfg: ExperimentConfig, start: int, count: int) -> ChunkResult:
-    """Squared level statistics ``2**-j sum_k c_jk**2`` of the continuous version:
-    ``sum (n * d)**2 / n`` over a replicate's cells of ``level_cells``."""
-    stat_sq = np.empty((count, cfg.J + 1))
-    levels = level_cells(_uniform_chunk(cfg, start, count), cfg.J, "continuous")
-    for j, (first, _, nd) in enumerate(levels):
-        stat_sq[:, j] = np.add.reduceat(nd * nd, first) / cfg.n
-    return ChunkResult(start=start, count=count, payload={"stat_sq": stat_sq})
 
 
 def _roynette_chunk(cfg: ExperimentConfig, start: int, count: int) -> ChunkResult:
@@ -482,12 +479,12 @@ def _roynette_chunk(cfg: ExperimentConfig, start: int, count: int) -> ChunkResul
 #: its payload).
 _CHUNK_FUNCTIONS = {
     "moment": (
-        partial(_step_chunk, cells=True),
+        partial(_levels_chunk, source="step", cells=True),
         {"cell_sum_s": "sum", "cell_sum_h": "sum", "cell_sum_h2": "sum",
          "sum_h": "stack", "sum_h2": "stack"},
     ),
-    "step_levels": (partial(_step_chunk, cells=False), {"sum_h": "stack"}),
-    "continuous_levels": (_continuous_levels_chunk, {"stat_sq": "stack"}),
+    "step_levels": (partial(_levels_chunk, source="step"), {"sum_h": "stack"}),
+    "continuous_levels": (partial(_levels_chunk, source="continuous"), {"sum_h": "stack"}),
     "roynette": (_roynette_chunk, {"stat": "stack"}),
 }
 
@@ -736,16 +733,17 @@ def _sandwich_report(config: ExperimentConfig, data: dict) -> Report:
     Passes when the in-band frequency at the top three levels reaches
     ``SANDWICH_CONFIDENCE``.  Per-replicate sup and tail-min summaries of
     the (unsquared) level statistic back the finite-norm and
-    nonvanishing-tail surrogates.  The step process's events are exact
-    integer comparisons of its int64 ``sum_k H``.
+    nonvanishing-tail surrogates.  The squared statistic is ``sum_h / n``,
+    and the band events compare the doubled ``sum_h`` with ``n`` and ``3n``:
+    doubling is exact, so they are exact on the step process's int64 sums
+    and the continuous version's float64 sums alike.  The aggregated
+    ``sum_h`` is released before the float statistics are built.
     """
     n = config.n
-    if config.process == "empirical-step":
-        sh = data["sum_h"]
-        stat_sq, in_band = sh / n, (2 * sh >= n) & (2 * sh <= 3 * n)
-    else:
-        stat_sq = data["stat_sq"]
-        in_band = (stat_sq >= 0.5) & (stat_sq <= 1.5)
+    sum_h = data.pop("sum_h")
+    in_band = (2 * sum_h >= n) & (2 * sum_h <= 3 * n)
+    stat_sq = sum_h / n
+    del sum_h
     return _band_report(
         "sandwich", config, np.sqrt(stat_sq), stat_sq, in_band,
         top_levels=3, confidence=SANDWICH_CONFIDENCE, statistic="squared_level", band=(0.5, 1.5),
@@ -788,8 +786,9 @@ class Experiment:
     """The experiment ``verify-<kind>`` runs: its ``_CHUNK_FUNCTIONS`` kernel
     for each process (the first is the default), the other settings it
     reads, its pre-draw ``check``, its ``held_bytes`` model (``run_bytes``),
-    the pure ``build(config, aggregated) -> Report``, and the least max level
-    it runs at in ``verify-all``."""
+    ``build(config, aggregated) -> Report``, which draws nothing and may
+    release the aggregated arrays it has read, and the least max level it
+    runs at in ``verify-all``."""
 
     kernels: dict
     reads: tuple

@@ -111,11 +111,22 @@ class TestUsageErrors:
         [
             (["simulate-empirical", "--n", str(10**20)], None, "n"),
             (["verify-sandwich", "--n", str(10**20)], None, "n"),
-            # 50000 points times the default chunk of 100 replicates.
+            # 50000 points times the default chunk of 100 replicates.  The cap
+            # is a run check keyed on the kernel, so every sample-stacking
+            # command must reach it.
             (["verify-sandwich", "--n", "50000"], None, "n"),
+            (["verify-moments", "--n", "50000"], None, "n"),
+            (["verify-concentration", "--n", "50000"], None, "n"),
             (["verify-concentration"], {"n": 10**20}, "n"),
         ],
-        ids=["simulate-n", "verify-n", "verify-n-times-chunk", "config-n"],
+        ids=[
+            "simulate-n",
+            "verify-n",
+            "verify-n-times-chunk",
+            "moments-n-times-chunk",
+            "concentration-n-times-chunk",
+            "config-n",
+        ],
     )
     def test_sample_points_cap_before_draws(self, tmp_path, capsys, argv, settings, key):
         if settings is not None:
@@ -622,13 +633,6 @@ def test_package_exports_resolve():
 
 
 class TestPlotData:
-    def test_empty_profile_header_only(self, tmp_path):
-        out = tmp_path / "empty.csv"
-        emit_plot_data(None, out)
-        assert out.read_text().strip() == "j,level_statistic,running_sup,tail_min"
-        emit_plot_data([], out)
-        assert out.read_text().strip() == "j,level_statistic,running_sup,tail_min"
-
     def test_profile_row_count(self, tmp_path):
         levels = np.ones(15)  # J = 14
         profile = besov.profile_from_levels(levels)

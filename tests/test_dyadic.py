@@ -12,13 +12,11 @@ from besov_empirica.dyadic import (
     load_triangle_json,
     path_from_dict,
     path_to_dict,
-    read_triangle_csv,
     reconstruct_path,
     save_triangle_json,
     scale_triangle,
     triangle_from_dict,
     triangle_to_dict,
-    write_triangle_csv,
 )
 from besov_empirica.errors import ParameterError
 
@@ -195,24 +193,6 @@ class TestSerialization:
         back = triangle_from_dict(json.loads(json.dumps(triangle_to_dict(tri))))
         for j in range(tri.J + 1):
             np.testing.assert_array_equal(back.levels[j], tri.levels[j])
-
-    def test_csv_round_trip(self, rng, tmp_path):
-        tri = random_triangle(rng, J=4)
-        out = tmp_path / "tri.csv"
-        write_triangle_csv(tri, out)
-        back = read_triangle_csv(out)
-        assert back.J == tri.J
-        assert back.mu0 == 0.0 and back.mu1 == 0.0  # boundary pair not in the CSV schema
-        for j in range(tri.J + 1):
-            np.testing.assert_array_equal(back.levels[j], tri.levels[j])
-
-    def test_csv_is_one_based(self, rng, tmp_path):
-        tri = random_triangle(rng, J=2)
-        out = tmp_path / "tri.csv"
-        write_triangle_csv(tri, out)
-        rows = out.read_text().splitlines()
-        assert rows[0] == "j,k,value"
-        assert rows[1].startswith("0,1,")
 
     def test_path_dict_round_trip(self, rng):
         path = DyadicPathValues(J=3, values=rng.normal(size=9))

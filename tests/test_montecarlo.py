@@ -25,12 +25,12 @@ from besov_empirica.montecarlo import (
     _CHUNK_FUNCTIONS,
     ChunkResult,
     ExperimentConfig,
-    _continuous_levels_chunk,
+    _levels_chunk,
     _roynette_chunk,
-    _step_chunk,
     absolute_moment_target,
     aggregate,
     chebyshev_deviation_bound,
+    check_run,
     chunk_peak_bytes,
     run_concentration_experiment,
     run_moment_experiment,
@@ -69,7 +69,6 @@ class TestConfigValidation:
             ({"R": 50}, "replicates"),
             ({"seed": -1}, "seed"),
             ({"p": 0.5}, "p"),
-            ({"n": 50_000}, "n"),
             ({"roynette_band_halfwidth": 0.0}, "roynette_band_halfwidth"),
             ({"J": 24}, "j_max"),
             ({"workers": 0}, "workers"),
@@ -90,10 +89,18 @@ class TestConfigValidation:
 
     def test_sample_points_cap_counts_the_chunk(self):
         # 50000 points times 80 replicates fit under MAX_CHUNK_POINTS; times
-        # the default chunk of 100 they do not (see test_rejections).
-        ExperimentConfig(n=50_000, chunk_size=80)
+        # the default chunk of 100 they do not.  The run is checked, not the
+        # config.
+        check_run(ExperimentConfig(n=50_000, chunk_size=80), "sandwich")
+        big = ExperimentConfig(n=50_000)
+        for kind in ("moments", "concentration", "sandwich"):
+            with pytest.raises(ParameterError) as err:
+                check_run(big, kind)
+            assert str(err.value) == (
+                "n: at most 4194304 sample points at once (got 50000 * chunk_size 100)"
+            )
         # A Gaussian run stacks no sample points, so n does not bound its chunk.
-        ExperimentConfig(process="brownian", chunk_size=50_000)
+        check_run(ExperimentConfig(process="brownian", chunk_size=50_000), "roynette")
 
 
 _RUNNERS = {
@@ -210,8 +217,8 @@ class TestStepKernel:
         n = data.draw(st.integers(*bounds), label="n")
         cfg = ExperimentConfig(n=n, J=J, seed=data.draw(st.integers(0, 2**64 - 1), label="seed"))
         want = _reference_step_chunk(cfg, start, count)
-        moment = _step_chunk(cfg, start, count, cells=True)
-        levels = _step_chunk(cfg, start, count, cells=False)
+        moment = _levels_chunk(cfg, start, count, "step", cells=True)
+        levels = _levels_chunk(cfg, start, count, "step")
         assert (moment.start, moment.count) == (start, count)
         assert set(moment.payload) == set(want)
         for key, value in want.items():
@@ -301,15 +308,31 @@ class TestRunBytesEstimate:
     )
     def test_traced_peak_within_estimate(self, tmp_path, capsys, kind, process, n, J, R):
         cfg = ExperimentConfig(process=process, n=n, J=J, R=R, seed=SEED)
-        out = argparse.Namespace(out=str(tmp_path))
-        cli._verify({kind: replace(cfg, R=100)}, out)  # first-call allocations are not the run's
-        tracemalloc.start()
-        try:
-            cli._verify({kind: cfg}, out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= montecarlo.run_bytes(cfg, kind)
+        assert _traced_run_peak(tmp_path, kind, cfg) <= montecarlo.run_bytes(cfg, kind)
+
+    def test_sandwich_peak_same_for_both_processes(self, tmp_path, capsys):
+        # Both processes go through one builder with payloads of one size, so
+        # an aggregated payload kept alive beside the statistics of one of
+        # them shows up as a gap.
+        step, continuous = (
+            _traced_run_peak(
+                tmp_path, "sandwich", ExperimentConfig(process=process, n=10, J=12, R=20_000)
+            )
+            for process in ("empirical-step", "empirical-continuous")
+        )
+        assert abs(step - continuous) <= 0.05 * min(step, continuous), (step, continuous)
+
+
+def _traced_run_peak(tmp_path, kind, cfg) -> int:
+    """tracemalloc peak of running ``cfg`` as ``verify-<kind>`` and writing its report."""
+    out = argparse.Namespace(out=str(tmp_path))
+    cli._verify({kind: replace(cfg, R=100)}, out)  # first-call allocations are not the run's
+    tracemalloc.start()
+    try:
+        cli._verify({kind: cfg}, out)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _sample_stream(cfg, start, count):
@@ -344,10 +367,11 @@ class TestContinuousKernel:
     )
     def test_matches_dense_reference(self, n, J, start, count, seed):
         cfg = ExperimentConfig(process="empirical-continuous", n=n, J=J, seed=seed)
-        got = _continuous_levels_chunk(cfg, start, count)
+        got = _levels_chunk(cfg, start, count, "continuous")
         assert (got.start, got.count) == (start, count)
-        assert set(got.payload) == {"stat_sq"}
-        assert got.payload["stat_sq"].shape == (count, J + 1)
+        assert set(got.payload) == {"sum_h"}
+        assert got.payload["sum_h"].shape == (count, J + 1)
+        stat_sq = got.payload["sum_h"] / n
         # The dense path rounds each grid value of sqrt(n) * (F(t) - t) by a
         # few eps * sqrt(n) (at most 3 in these units when measured), so each
         # of its coefficients may be off by 32 * 2**(j/2) * eps * sqrt(n).
@@ -360,7 +384,7 @@ class TestContinuousKernel:
                 c, dc = tri.levels[j], dc0 * 2.0 ** (j / 2)
                 want = float(np.sum(c**2)) / (1 << j)
                 slack = float(np.sum(2 * np.abs(c) * dc + dc * dc)) / (1 << j)
-                value = got.payload["stat_sq"][i, j]
+                value = stat_sq[i, j]
                 assert abs(value - want) <= 1e-11 * want + slack, (i, j, value, want)
 
     @settings(max_examples=40)
@@ -372,7 +396,7 @@ class TestContinuousKernel:
     )
     def test_matches_rational_arithmetic_small_n(self, n, start, count, seed):
         cfg = ExperimentConfig(process="empirical-continuous", n=n, J=6, seed=seed)
-        got = _continuous_levels_chunk(cfg, start, count).payload["stat_sq"]
+        got = _levels_chunk(cfg, start, count, "continuous").payload["sum_h"] / n
         for i, sample in enumerate(_sample_stream(cfg, start, count)):
             _assert_exact(got[i], _exact_stat_sq(sample, cfg.J))
 
@@ -382,7 +406,7 @@ class TestContinuousKernel:
         # cancel: summed as they are, they missed these statistics by up to
         # 2e-11 relative.  The kernel reads those levels from the CDF instead.
         cfg = ExperimentConfig(process="empirical-continuous", n=1000, J=6, seed=seed)
-        got = _continuous_levels_chunk(cfg, 0, 10).payload["stat_sq"]
+        got = _levels_chunk(cfg, 0, 10, "continuous").payload["sum_h"] / cfg.n
         for i, sample in enumerate(_sample_stream(cfg, 0, 10)):
             _assert_exact(got[i], _exact_stat_sq(sample, cfg.J))
 
@@ -407,7 +431,7 @@ class TestContinuousKernel:
             lambda cfg, start, count: np.tile(sample.sorted_values, (count, 1)),
         )
         cfg = ExperimentConfig(process="empirical-continuous", n=sample.n, J=12)
-        got = _continuous_levels_chunk(cfg, 0, 2).payload["stat_sq"]
+        got = _levels_chunk(cfg, 0, 2, "continuous").payload["sum_h"] / cfg.n
         exact = _exact_stat_sq(sample, cfg.J)
         for row in got:
             _assert_exact(row, exact)
@@ -498,15 +522,24 @@ class TestConcentration:
 
 
 class TestSandwich:
-    def test_band_logic_on_injected_levels(self):
-        # A zero triangle yields squared statistics 0 (below band) at every
-        # level; an all-ones triangle yields exactly 1 (inside the band).
-        zero_sq = np.zeros(13)
-        ones_sq = np.ones(13)
-        in_band = lambda x: (x >= 0.5) & (x <= 1.5)
-        assert not in_band(zero_sq).any()
-        assert in_band(ones_sq).all()
-        assert in_band(np.array([0.5])).all() and in_band(np.array([1.5])).all()
+    @pytest.mark.parametrize(
+        "process,dtype", [("empirical-step", np.int64), ("empirical-continuous", np.float64)]
+    )
+    def test_band_logic_on_injected_levels(self, process, dtype):
+        # Level sums sum_h = n * stat_sq injected into the builder, one value
+        # a level: exactly n/2 and 3n/2 are in band, any neighbour is not.
+        n, J, R = 100, 12, 100
+        below, above = (49, 151)
+        if dtype is np.float64:
+            below, above = np.nextafter(50.0, 0), np.nextafter(150.0, 200)
+        levels = [(50, True), (150, True), (49, False), (151, False), (below, False),
+                  (above, False), (0, False), (100, True), (75, True), (400, False)]
+        levels += [(100, True)] * (J + 1 - len(levels))
+        sum_h = np.tile(np.array([v for v, _ in levels], dtype=dtype), (R, 1))
+        cfg = ExperimentConfig(process=process, n=n, J=J, R=R)
+        results = EXPERIMENTS["sandwich"].build(cfg, {"sum_h": sum_h}).results
+        assert results["in_band_frequency"] == [float(ok) for _, ok in levels]
+        np.testing.assert_array_equal(results["per_replicate"]["sup_stat_sq"], 4.0)
 
     def test_step_experiment(self):
         cfg = ExperimentConfig(n=100, J=12, R=500, seed=SEED)
