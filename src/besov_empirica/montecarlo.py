@@ -12,12 +12,13 @@ the ``Report`` of every run.
 
 The empirical chunk kernels are one batched function, ``_levels_chunk``:
 it draws a chunk's uniform samples as one sorted matrix
-(``sampling.uniform_samples``: the chunk's stream keys derived at once, one
-generator re-keyed per stream, and all its raw words mapped to lattice
-integers in one pass) and sums, level by level, the squares of the occupied
-cells' values that ``empirical.level_cells`` yields for the whole chunk,
-O(n) per level and replicate (``empirical_coefficients`` scatters the same
-cells into a triangle).  A process name only picks the cell source.
+(``sampling.uniform_samples``: the chunk's stream keys derived at once, the
+raw words of short streams computed in one Philox pass and those of long
+ones from one generator re-keyed per stream, and all of them mapped to
+lattice integers in one pass) and sums, level by level, the squares of the
+occupied cells' values that ``empirical.level_cells`` yields for the whole
+chunk, O(n) per level and replicate (``empirical_coefficients`` scatters the
+same cells into a triangle).  A process name only picks the cell source.
 Step-process payloads are integers (per-replicate level sums of
 ``H = S**2`` and ``H**2``, per-cell sums of ``S`` and ``H``; per-cell sums
 of ``H**2`` are float64, exact below ``2**53``); the continuous version's
@@ -59,7 +60,7 @@ import numpy as np
 # ``level_statistic`` and ``brownian_motion`` are the reference for the
 # Gaussian kernel; they stay importable from here because
 # perfbench/tracing.py wraps them as this module's attributes.
-from .besov import BesovParams, level_statistic, tail_window_start
+from .besov import level_statistic, tail_window_start
 from .empirical import level_cells, step_coefficient_scale
 # Reference-only, called by no code path here: the per-sample step form and the
 # triangle of ``level_cells``' cells.  perfbench/tracing.py wraps them as this
@@ -412,8 +413,8 @@ def run_chunked(name: str, cfg: ExperimentConfig) -> list:
 
 def _uniform_chunk(cfg: ExperimentConfig, start: int, count: int) -> np.ndarray:
     """The chunk's sorted uniform samples, one replicate a row: stacked
-    ``sample_uniform`` output, drawn by ``uniform_samples`` with one generator
-    for the chunk."""
+    ``sample_uniform`` output, drawn by ``uniform_samples`` for the whole
+    chunk."""
     return uniform_samples(cfg.n, cfg.seed, start, count)
 
 

@@ -10,18 +10,25 @@ many worker processes consume them.
 stream at a time and are the reference.  The chunk kernels draw a run of
 consecutive streams at once: ``stream_keys`` derives every stream's Philox
 key with numpy's ``SeedSequence`` hash written out in vectorized uint32
-arithmetic (the master seed's share of the hash runs once), and
-``stream_generators`` re-keys one ``Philox``/``Generator`` pair per stream.
-``uniform_samples`` takes each stream's raw 64-bit words and maps the whole
-chunk's words to lattice integers at once with ``lemire_lattice``, which
-rebuilds the bounded-integer step of ``Generator.integers``: numpy's 64-bit
-Lemire bound and its rejection threshold.  A row holding a word numpy would
-reject (odds about ``2**-53`` a word) is drawn again by the reference.
-These paths lean on numpy internals (the ``SeedSequence`` algorithm, the
-``Philox`` state layout and the Lemire bound); ``tests/test_sampling.py``
-pins all three to the reference, so a numpy change that moves them fails
-the tests instead of moving a report, and ``check_streams`` checks them on
-the running numpy before a verification run's first draw.
+arithmetic (the master seed's share of the hash runs once).
+``uniform_samples`` takes each stream's raw 64-bit words from one of two
+sources, chosen by the stream length ``n``: below ``SHORT_STREAM_WORDS``,
+``philox_words`` runs the ten Philox4x64 rounds on every counter block of
+the chunk at once in uint64 arithmetic; from there on,
+``stream_generators`` re-keys one ``Philox``/``Generator`` pair per stream
+and reads ``random_raw``, whose C rounds cost less per word than numpy's
+arithmetic once a stream's Python overhead is spread over enough words.
+Either way, ``lemire_lattice`` maps the whole chunk's words to lattice
+integers at once, rebuilding the bounded-integer step of
+``Generator.integers``: numpy's 64-bit Lemire bound and its rejection
+threshold.  A row holding a word numpy would reject (odds about ``2**-53``
+a word) is drawn again by the reference.  These paths lean on four numpy
+internals (the ``SeedSequence`` algorithm, the ``Philox`` state layout,
+the Philox4x64-10 round constants with the counter and buffer order, and
+the Lemire bound); ``tests/test_sampling.py`` pins all four to the
+reference, so a numpy change that moves them fails the tests instead of
+moving a report, and ``check_streams`` checks them on the running numpy
+before a verification run's first draw.
 """
 
 from __future__ import annotations
@@ -51,6 +58,23 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# numpy's Philox4x64-10 (``numpy/random/src/philox/philox.h``): the round
+# multipliers of counter words 0 and 2, and the Weyl increments of key
+# words 1 and 0 (``philox_words`` keeps the key in that order).
+_PHILOX_ROUNDS = 10
+_PHILOX_MULT = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_BUMP = np.array([[0xBB67AE8584CAA73B], [0x9E3779B97F4A7C15]], dtype=np.uint64)
+_LOW32 = np.uint64(_MASK32)
+_SHIFT32 = np.uint64(32)
+# Counter blocks ``philox_words`` computes per pass: its round temporaries
+# stay near 1 MiB, and in cache, whatever the chunk size.
+_PHILOX_PASS_BLOCKS = 1 << 12
+#: ``uniform_samples`` computes a stream of fewer words than this with
+#: ``philox_words`` and a longer one with ``stream_generators``.  On a 2-vCPU
+#: VM the two cost the same per stream near 28 words at 100 streams a chunk
+#: and between 48 and 100 at 1,000, so neither chunk size is slower below it.
+SHORT_STREAM_WORDS = 24
 
 
 @dataclass(frozen=True)
@@ -222,6 +246,67 @@ def stream_generators(
         yield rng
 
 
+def philox_words(keys: np.ndarray, n: int) -> np.ndarray:
+    """First ``n`` raw words of a fresh ``Philox`` for each row of ``keys``.
+
+    Row ``i`` equals ``np.random.Philox(key=keys[i]).random_raw(n)``, as a
+    ``(len(keys), n)`` uint64 array.  numpy bumps the counter before it
+    fills its four-word buffer, so a stream's block ``b = 1, 2, ...`` is the
+    Philox4x64-10 function of counter ``(b, 0, 0, 0)``, and ``random_raw``
+    returns each block's words in order.  The rounds run on all blocks of a
+    pass at once, in passes of at most ``_PHILOX_PASS_BLOCKS`` blocks.
+    """
+    count, blocks = len(keys), -(-n // 4)
+    words = np.empty((count, blocks, 4), dtype=np.uint64)
+    step = max(1, _PHILOX_PASS_BLOCKS // blocks)
+    for first in range(0, count, step):
+        _philox_blocks(keys[first:first + step], words[first:first + step])
+    return words.reshape(count, 4 * blocks)[:, :n]
+
+
+def _philox_blocks(keys: np.ndarray, out: np.ndarray) -> None:
+    """Write Philox4x64-10 of counters ``(1..blocks, 0, 0, 0)`` under each key
+    into ``out``, a ``(len(keys), blocks, 4)`` array.
+
+    A round maps counter ``c`` under key ``k`` to ``(hi(M1 c2) ^ c1 ^ k0,
+    lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))``, and the key takes its
+    Weyl increment before every round but the first.  Word pairs are
+    stacked as two rows of contiguous arrays, so one numpy call serves
+    both: ``even`` holds ``(c0, c2)``, ``odd`` ``(c3, c1)`` and ``key``
+    ``(k1, k0)``, which lines up ``hi`` with ``odd`` and ``key``, so only
+    the write of the new ``even`` takes a reversed operand.  The constants
+    are spread to full rows once, because numpy runs a same-shape
+    contiguous operation several times faster than a broadcast or reversed
+    one at chunk sizes.  The 128-bit product's high word comes exactly from
+    32-bit halves, whose partial sums cannot overflow 64 bits.
+    """
+    blocks = out.shape[1]
+    size = len(keys) * blocks
+    key = np.repeat(keys[:, ::-1].T, blocks, axis=1)
+    bump = np.repeat(_PHILOX_BUMP, size, axis=1)
+    mult = np.repeat(_PHILOX_MULT, size, axis=1)
+    mult_lo, mult_hi = mult & _LOW32, mult >> _SHIFT32
+    even = np.zeros((2, size), dtype=np.uint64)
+    even[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(keys))
+    odd = np.zeros((2, size), dtype=np.uint64)
+    for round_ in range(_PHILOX_ROUNDS):
+        if round_:
+            key += bump
+        low, high = even & _LOW32, even >> _SHIFT32
+        carry = mult_lo * high
+        carry += (mult_lo * low) >> _SHIFT32
+        middle = carry & _LOW32
+        middle += mult_hi * low
+        hi = mult_hi * high
+        hi += carry >> _SHIFT32
+        hi += middle >> _SHIFT32
+        hi ^= odd
+        odd = even * mult
+        np.bitwise_xor(hi, key, out=even[::-1])
+    for word, row in enumerate((even[0], odd[1], even[1], odd[0])):
+        out[..., word] = row.reshape(-1, blocks)
+
+
 def lemire_lattice(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``Generator.integers(1, 2**53)`` of raw 64-bit ``words``, one word a draw.
 
@@ -247,17 +332,23 @@ def uniform_samples(n: int, master_seed: int, start: int, count: int) -> np.ndar
     Returns their sorted values as a ``(count, n)`` float64 matrix, one
     stream a row, identical to stacking ``sample_uniform(n, SeedSpec(
     master_seed, start + i, UNIFORM_STREAM)).sorted_values``.  Each stream's
-    ``n`` raw Philox words fill one row of a ``(count, n)`` uint64 matrix,
-    and ``lemire_lattice`` maps all of them to lattice integers at once.  A
-    row holding a word that ``Generator.integers`` would reject (and draw
-    again) is drawn again with ``make_generator``, the reference.  The rows
-    are sorted and checked for range and ties once, on the integers.
+    ``n`` raw Philox words fill one row of a ``(count, n)`` uint64 matrix:
+    ``philox_words`` computes them for the whole chunk when ``n`` is below
+    ``SHORT_STREAM_WORDS``, and ``stream_generators`` one stream at a time
+    otherwise.  ``lemire_lattice`` maps all of them to lattice integers at
+    once.  A row holding a word that ``Generator.integers`` would reject
+    (and draw again) is drawn again with ``make_generator``, the reference.
+    The rows are sorted and checked for range and ties once, on the
+    integers.
     """
     if n < 2:
         raise ParameterError("n", f"need at least 2 observations (got {n})")
-    words = np.empty((count, n), dtype=np.uint64)
-    for rng, row in zip(stream_generators(master_seed, start, count, UNIFORM_STREAM), words):
-        row[:] = rng.bit_generator.random_raw(n)
+    if n < SHORT_STREAM_WORDS:
+        words = philox_words(stream_keys(master_seed, start, count, UNIFORM_STREAM), n)
+    else:
+        words = np.empty((count, n), dtype=np.uint64)
+        for rng, row in zip(stream_generators(master_seed, start, count, UNIFORM_STREAM), words):
+            row[:] = rng.bit_generator.random_raw(n)
     lattice, rejected = lemire_lattice(words)
     for i in np.flatnonzero(rejected.any(axis=1)).tolist():
         rng = make_generator(SeedSpec(master_seed, start + i, UNIFORM_STREAM))
@@ -282,17 +373,21 @@ def _lattice_samples(lattice: np.ndarray) -> np.ndarray:
 @functools.cache
 def check_streams() -> None:
     """Raise ``ParameterError("numpy", ...)`` unless one ``uniform_samples`` row
-    and the first normals of one ``stream_generators`` stream (index above
-    ``2**32``: a two-word key) match the reference on the running numpy.
-    Cached once passed, so it runs once per process."""
+    on each side of ``SHORT_STREAM_WORDS`` and the first normals of one
+    ``stream_generators`` stream (index above ``2**32``: a two-word key)
+    match the reference on the running numpy.  Cached once passed, so it
+    runs once per process."""
     seed, index = 42, (1 << 32) + 7
-    batched = uniform_samples(16, seed, 0, 1)[0]
-    reference = sample_uniform(16, SeedSpec(seed, 0, UNIFORM_STREAM)).sorted_values
+    spec = SeedSpec(seed, 0, UNIFORM_STREAM)
+    uniforms_match = all(
+        np.array_equal(uniform_samples(n, seed, 0, 1)[0], sample_uniform(n, spec).sorted_values)
+        for n in (SHORT_STREAM_WORDS - 1, SHORT_STREAM_WORDS)
+    )
     normals = next(stream_generators(seed, index, 1, GAUSSIAN_STREAM)).standard_normal(4)
     expected = make_generator(SeedSpec(seed, index, GAUSSIAN_STREAM)).standard_normal(4)
-    if not (np.array_equal(batched, reference) and np.array_equal(normals, expected)):
+    if not (uniforms_match and np.array_equal(normals, expected)):
         raise ParameterError(
             "numpy",
-            f"numpy {np.__version__} moved the SeedSequence hash, the Philox state or the Lemire"
-            " bound that the batched draws rebuild; no report is written",
+            f"numpy {np.__version__} moved the SeedSequence hash, the Philox state or rounds,"
+            " or the Lemire bound that the batched draws rebuild; no report is written",
         )

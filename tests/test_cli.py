@@ -396,23 +396,35 @@ def _lattice_off_by_one(words):
     return lattice + 1, rejected
 
 
+def _philox_word_flipped(keys, n):
+    words = _PHILOX_WORDS(keys, n).copy()
+    words[0, 0] ^= np.uint64(1 << 63)  # a top bit, which the lattice keeps
+    return words
+
+
 def _gaussian_streams_shifted(master_seed, start, count, label):
     shift = label == sampling.GAUSSIAN_STREAM
     return _STREAM_GENERATORS(master_seed, start + shift, count, label)
 
 
 _LEMIRE_LATTICE = sampling.lemire_lattice
+_PHILOX_WORDS = sampling.philox_words
 _STREAM_GENERATORS = sampling.stream_generators
 
 
 @pytest.mark.parametrize(
     "attr,stand_in",
-    [("lemire_lattice", _lattice_off_by_one), ("stream_generators", _gaussian_streams_shifted)],
-    ids=["uniform-lattice", "gaussian-keys"],
+    [
+        ("lemire_lattice", _lattice_off_by_one),
+        ("philox_words", _philox_word_flipped),
+        ("stream_generators", _gaussian_streams_shifted),
+    ],
+    ids=["uniform-lattice", "uniform-philox", "gaussian-keys"],
 )
 def test_numpy_guard_stops_before_out(tmp_path, capsys, monkeypatch, attr, stand_in):
     # Batched draws that no longer match the reference streams, as a numpy
-    # that moved its Lemire bound or its SeedSequence hash would give.
+    # that moved its Lemire bound, its Philox rounds or its SeedSequence hash
+    # would give.
     monkeypatch.setattr(sampling, attr, stand_in)
     sampling.check_streams.cache_clear()
     out = tmp_path / "o"

@@ -40,6 +40,7 @@ from besov_empirica.montecarlo import (
 from besov_empirica.gaussian import brownian_bridge, brownian_motion
 from besov_empirica.sampling import (
     GAUSSIAN_STREAM,
+    SHORT_STREAM_WORDS,
     UNIFORM_STREAM,
     SeedSpec,
     order_statistics,
@@ -273,6 +274,14 @@ class TestChunkPeakEstimate:
                 ("continuous_levels", "empirical-continuous"),
             ]
             for n, J, count in [(100, 12, 1000), (2, 6, 50_000), (3, 6, 1000)]
+        ]
+        # The largest n whose words ``philox_words`` computes.
+        + [
+            (kernel, process, SHORT_STREAM_WORDS - 1, 6, 50_000)
+            for kernel, process in [
+                ("moment", "empirical-step"),
+                ("continuous_levels", "empirical-continuous"),
+            ]
         ]
         + [("roynette", "brownian", 2, 14, 20), ("roynette", "brownian", 2, 6, 20_000)],
     )

@@ -9,6 +9,7 @@ from scipy import stats
 from besov_empirica import sampling
 from besov_empirica.errors import ParameterError, TiesError
 from besov_empirica.sampling import (
+    SHORT_STREAM_WORDS,
     UNIFORM_STREAM,
     EmpiricalSample,
     SeedSpec,
@@ -16,6 +17,7 @@ from besov_empirica.sampling import (
     lemire_lattice,
     make_generator,
     order_statistics,
+    philox_words,
     sample_gaussian,
     sample_uniform,
     stream_keys,
@@ -101,8 +103,9 @@ def _chunks(draw, max_count):
     return start, draw(st.integers(1, min(max_count, 2**64 - start)))
 
 
-# The batched path re-implements numpy's SeedSequence hash and re-keys one
-# Philox per stream; these tests fail when numpy moves either.
+# The batched path re-implements numpy's SeedSequence hash and Philox rounds,
+# and re-keys one Philox per long stream; these tests fail when numpy moves
+# any of them.
 class TestBatchedStreams:
     @settings(max_examples=200)
     @given(seed=st.integers(0, 2**64 - 1), chunk=_chunks(40), label=st.sampled_from([0, 1]))
@@ -121,6 +124,8 @@ class TestBatchedStreams:
     @settings(max_examples=60)
     @given(n=st.integers(2, 60), seed=st.integers(0, 2**64 - 1), chunk=_chunks(6))
     @example(n=100, seed=42, chunk=(2**32 - 3, 6))
+    @example(n=SHORT_STREAM_WORDS, seed=7, chunk=(2**32 - 2, 5))
+    @example(n=SHORT_STREAM_WORDS - 1, seed=7, chunk=(2**32 - 2, 5))
     def test_samples_match_sample_uniform(self, n, seed, chunk):
         start, count = chunk
         want = [
@@ -130,6 +135,25 @@ class TestBatchedStreams:
         got = uniform_samples(n, seed, start, count)
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, np.stack(want))
+
+    @pytest.mark.parametrize("n", [2, 3, SHORT_STREAM_WORDS - 1])
+    def test_short_streams_skip_stream_generators(self, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("a short stream must not re-key a generator")
+
+        monkeypatch.setattr(sampling, "stream_generators", refuse)
+        want = [sample_uniform(n, SeedSpec(SEED, 9 + i, UNIFORM_STREAM)).sorted_values
+                for i in range(4)]
+        np.testing.assert_array_equal(uniform_samples(n, SEED, 9, 4), np.stack(want))
+
+    @pytest.mark.parametrize("n", [SHORT_STREAM_WORDS, 100])
+    def test_long_streams_use_stream_generators(self, monkeypatch, n):
+        def refuse(*args):
+            raise LookupError("stream_generators")
+
+        monkeypatch.setattr(sampling, "stream_generators", refuse)
+        with pytest.raises(LookupError):
+            uniform_samples(n, SEED, 9, 4)
 
     def test_stream_index_range(self):
         with pytest.raises(ParameterError):
@@ -196,8 +220,9 @@ class TestLemireLattice:
     def test_random_words(self, words):
         self._check(words)
 
-    def test_rejected_row_drawn_by_reference(self, monkeypatch):
-        n, start, count = 5, 10, 4
+    @pytest.mark.parametrize("n", [5, SHORT_STREAM_WORDS])
+    def test_rejected_row_drawn_by_reference(self, monkeypatch, n):
+        start, count = 10, 4
 
         def reject_row_two(words):
             lattice, rejected = lemire_lattice(words)
@@ -211,6 +236,42 @@ class TestLemireLattice:
             for i in range(count)
         ]
         np.testing.assert_array_equal(uniform_samples(n, SEED, start, count), np.stack(want))
+
+
+_KEY = st.integers(0, 2**64 - 1)
+
+
+# ``philox_words`` rebuilds numpy's Philox4x64-10 rounds, counter and buffer
+# order; these tests pin it to a fresh ``Philox`` with the same key.
+class TestPhiloxWords:
+    CHOSEN = [(0, 0), (2**64 - 1, 2**64 - 1), (2**63, 1)]
+
+    def _check(self, keys, n):
+        keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)
+        got = philox_words(keys, n)
+        assert got.dtype == np.uint64 and got.shape == (len(keys), n)
+        want = [np.random.Philox(key=key).random_raw(n) for key in keys]
+        np.testing.assert_array_equal(got, np.array(want, dtype=np.uint64).reshape(-1, n))
+
+    # One to nine words cover a partial first block, a full one and a partial
+    # second and third; 17 is five blocks with one word of the last.
+    @pytest.mark.parametrize("n", [*range(1, 10), 17])
+    def test_chosen_keys(self, n):
+        self._check(self.CHOSEN, n)
+        for seed in (0, 2**64 - 1):
+            self._check(stream_keys(seed, 2**32 - 3, 6, UNIFORM_STREAM), n)
+
+    @settings(max_examples=100)
+    @given(keys=st.lists(st.tuples(_KEY, _KEY), min_size=1, max_size=8), n=st.integers(1, 40))
+    def test_random_keys(self, keys, n):
+        self._check(keys, n)
+
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_passes_split_the_chunk(self, monkeypatch, n):
+        # Three blocks a pass: seven one-block streams take passes of 3, 3
+        # and 1 streams, and three-block streams one stream a pass.
+        monkeypatch.setattr(sampling, "_PHILOX_PASS_BLOCKS", 3)
+        self._check(stream_keys(SEED, 0, 7, UNIFORM_STREAM), n)
 
 
 class TestGaussian:
