@@ -1,5 +1,5 @@
 """Dyadic second-difference analysis of empirical processes and Brownian
-paths, with Monte Carlo verification against an exact enumeration oracle."""
+paths, with Monte Carlo verification against an exact closed-form oracle."""
 
 from .besov import (
     BesovParams,

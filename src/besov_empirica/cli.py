@@ -109,6 +109,7 @@ def _emit_moment_levels_csv(report: montecarlo.Report, path) -> None:
 
 
 def _cmd_simulate_empirical(args) -> int:
+    montecarlo.check_seed(args.seed)
     montecarlo.check_max_level(args.j_max)
     montecarlo.check_sample_points(args.n)
     sample = sample_uniform(args.n, SeedSpec(args.seed, 0, UNIFORM_STREAM))
@@ -122,6 +123,7 @@ def _cmd_simulate_empirical(args) -> int:
 
 
 def _cmd_simulate_bm(args) -> int:
+    montecarlo.check_seed(args.seed)
     montecarlo.check_max_level(args.j_max)
     path = gaussian.brownian_motion(args.j_max, SeedSpec(args.seed, 0))
     if args.bridge:

@@ -76,7 +76,7 @@ from .sampling import sample_uniform  # noqa: F401
 
 PROCESSES = ("empirical-step", "empirical-continuous", "brownian", "bridge")
 
-#: Oracle blocks are attached for levels up to this cap when enumerable.
+#: Oracle blocks are attached at the levels up to this cap ``oracle_applicable`` accepts.
 ORACLE_LEVEL_CAP = 3
 
 # Pass rules of the reports.  They grade fixed claims of the paper, so they
@@ -156,6 +156,12 @@ def check_max_level(J: int) -> None:
         raise ParameterError("j_max", f"must be <= {MAX_LEVEL} (got {J})")
 
 
+def check_seed(seed: int) -> None:
+    """Reject a master seed that is not an unsigned 64-bit integer, naming ``seed``."""
+    if not 0 <= seed < (1 << 64):
+        raise ParameterError("seed", f"must be an unsigned 64-bit integer (got {seed})")
+
+
 def check_sample_points(n: int, chunk_size: int = 1) -> None:
     """Reject a chunk of more than ``MAX_CHUNK_POINTS`` points before any draw."""
     if n * chunk_size > MAX_CHUNK_POINTS:
@@ -193,8 +199,7 @@ class ExperimentConfig:
         check_max_level(self.J)
         if self.R < 100:
             raise ParameterError("replicates", f"must be >= 100 (got {self.R})")
-        if not 0 <= self.seed < (1 << 64):
-            raise ParameterError("seed", f"must be an unsigned 64-bit integer (got {self.seed})")
+        check_seed(self.seed)
         if not 1.0 <= self.p <= MAX_P:
             raise ParameterError("p", f"must lie in [1, {MAX_P}] (got {self.p})")
         if self.roynette_band_halfwidth <= 0.0:

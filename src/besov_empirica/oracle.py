@@ -1,38 +1,34 @@
-"""Exact moments of the signed half-cell statistics by exhaustive
-enumeration.
+"""Exact moments of the signed half-cell statistics, in closed form.
 
-At level ``j`` the ``2**(j+1)`` half cells are equiprobable, so the joint
-law of the per-cell score sums is a symmetric multinomial.  Assignments of
-``n`` sample points to half cells are enumerated as count vectors weighted
-by multinomial coefficients, which groups the ``(2**(j+1))**n`` equiprobable
-labeled outcomes without approximation; all arithmetic is exact
-integer/rational.
+At level ``j`` there are ``K = 2**j`` cells of two equiprobable halves.
+Each of ``n`` sample points adds +1, -1 or 0 to the score sum ``S_k`` of
+cell ``k``, with probabilities ``1/2K``, ``1/2K`` and ``1 - 1/K``.  With
+``H_k = S_k**2`` and ``G_k = (K / n) * H_k``, in exact rational arithmetic:
 
-Tracked quantities, for score sum ``S_k`` of cell ``k``, ``H_k = S_k**2``
-and ``G_k = (2**j / n) * H_k``:
+    E[H] = n/K,  E[H**2] = n/K + 3n(n-1)/K**2,  E[H_k H_k'] = n(n-1)/K**2,
+    Var(G),  E[sum_k G_k] = K,  Var(sum_k G_k) = 2K(1 - 1/n),
 
-    E[H], E[H**2], Var(G), E[H_k H_k'] (k != k'), Var(sum_k G_k),
-    and P(|2**-j sum_k G_k - 1| >= 1/2).
+and ``P(|2**-j sum_k G_k - 1| >= 1/2)`` from the exact integer law of
+``sum_k S_k**2``.  The tests pin every value to an enumeration of outcomes.
 
-Two identities hold exactly: ``E[H] = n / 2**j`` and
-``E[H_k H_k'] = n (n-1) / 2**(2j)``.  The deviation bound used by the
-concentration experiment is calibrated to a nominal variance
-``Var(sum_k G_k) = 2**(2j) * eps(n, j)`` with ``eps = (3 - 3/n) / 2**j``;
-enumeration gives the smaller exact value ``2**(j+1) * (1 - 1/n)``
-(leading constant 2 rather than 3).  Reports carry both values and a
-mismatch flag; the nominal value upper-bounds the exact one, so the
-Chebyshev argument built on it stays valid.
+The concentration bound is calibrated to a nominal variance
+``Var(sum_k G_k) = 2**(2j) * eps(n, j)`` with ``eps = (3 - 3/n) / 2**j``,
+above the exact value (leading constant 3 rather than 2).  Reports carry
+both values and a mismatch flag; the nominal value upper-bounds the exact
+one, so the Chebyshev argument built on it stays valid.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError
 
-#: Cap on the labeled outcome count (2**(j+1))**n accepted for enumeration.
+#: Cap on the labeled outcomes ``(2**(j+1))**n`` of an instance: it sets which
+#: report levels carry an oracle block, since the closed forms need no cap.
 MAX_OUTCOMES = 20_000_000
 
 
@@ -95,75 +91,62 @@ class OracleMoments:
         }
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of length ``parts`` summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _level_law(n: int, j: int) -> Counter:
+    """Value of ``sum_k S_k**2`` -> how many of the ``(2**(j+1))**n`` labeled
+    outcomes give it, by binomial splitting; ``law[m]`` is the law of ``m`` points.
+
+    One cell holding ``m`` points has ``S = 2b - m`` in ``C(m, b)`` ways (``b``
+    and ``m - b`` give one ``S**2``, so their ways add).  Doubling the cells,
+    the first half holds ``a`` points in ``C(m, a)`` ways and the sums add.
+    """
+    law = []
+    for m in range(n + 1):
+        one = Counter()
+        for b in range(m + 1):
+            one[(2 * b - m) ** 2] += math.comb(m, b)
+        law.append(one)
+    for _ in range(j):
+        doubled = []
+        for m in range(n + 1):
+            both = Counter()
+            for a in range(m + 1):
+                ways = math.comb(m, a)
+                for x, count_x in law[a].items():
+                    for y, count_y in law[m - a].items():
+                        both[x + y] += ways * count_x * count_y
+            doubled.append(both)
+        law = doubled
+    assert sum(law[n].values()) == (2 << j) ** n
+    return law[n]
 
 
 def enumeration_oracle(n: int, j: int) -> OracleMoments:
-    """Exact moments for ``n`` points over the level-``j`` half cells."""
+    """Exact moments for ``n`` points over the level-``j`` half cells (named
+    for the enumeration of outcomes the tests check it against)."""
     if n < 1:
         raise ParameterError("n", f"need n >= 1 (got {n})")
     if j < 0:
         raise ParameterError("j", f"need j >= 0 (got {j})")
-    m = 1 << (j + 1)
-    if m**n > MAX_OUTCOMES:
+    if not oracle_applicable(n, j):
         raise ParameterError(
             "n", f"instance too large: (2**{j + 1})**{n} outcomes exceed {MAX_OUTCOMES}"
         )
     cells = 1 << j
-    factorials = [math.factorial(i) for i in range(n + 1)]
-    n_fact = factorials[n]
-
-    w_total = 0
-    w_h = 0
-    w_h2 = 0
-    w_hh = 0
-    w_sum_h = 0
-    w_sum_h_sq = 0
-    w_dev = 0
-    for counts in _compositions(n, m):
-        weight = n_fact
-        for c in counts:
-            weight //= factorials[c]
-        s0 = counts[0] - counts[1]
-        h0 = s0 * s0
-        sum_h = sum(
-            (counts[2 * k] - counts[2 * k + 1]) ** 2 for k in range(cells)
-        )
-        w_total += weight
-        w_h += weight * h0
-        w_h2 += weight * h0 * h0
-        if cells >= 2:
-            h1 = (counts[2] - counts[3]) ** 2
-            w_hh += weight * h0 * h1
-        w_sum_h += weight * sum_h
-        w_sum_h_sq += weight * sum_h * sum_h
-        # |2**-j * sum G - 1| >= 1/2  <=>  2*sum_h <= n or 2*sum_h >= 3n
-        if 2 * sum_h <= n or 2 * sum_h >= 3 * n:
-            w_dev += weight
-    assert w_total == m**n
-
-    e_h = Fraction(w_h, w_total)
-    e_h2 = Fraction(w_h2, w_total)
-    g_scale = Fraction(1 << j, n)
-    e_sum_h = Fraction(w_sum_h, w_total)
-    e_sum_h_sq = Fraction(w_sum_h_sq, w_total)
+    e_h = Fraction(n, cells)
+    e_h2 = e_h + Fraction(3 * n * (n - 1), cells * cells)
+    # |2**-j * sum G - 1| >= 1/2  <=>  2*sum_h <= n or 2*sum_h >= 3n
+    law = _level_law(n, j)
+    deviating = sum(count for v, count in law.items() if 2 * v <= n or 2 * v >= 3 * n)
     return OracleMoments(
         n=n,
         j=j,
         e_h=e_h,
         e_h2=e_h2,
-        var_g=g_scale**2 * (e_h2 - e_h**2),
-        e_hh=Fraction(w_hh, w_total) if cells >= 2 else None,
-        e_sum_g=g_scale * e_sum_h,
-        var_sum_g=g_scale**2 * (e_sum_h_sq - e_sum_h**2),
-        prob_deviation_ge_half=Fraction(w_dev, w_total),
+        var_g=Fraction(cells, n) ** 2 * (e_h2 - e_h**2),
+        e_hh=Fraction(n * (n - 1), cells * cells) if cells >= 2 else None,
+        e_sum_g=Fraction(cells),
+        var_sum_g=2 * cells * (1 - Fraction(1, n)),
+        prob_deviation_ge_half=Fraction(deviating, (2 * cells) ** n),
     )
 
 

@@ -1,5 +1,6 @@
 import bisect
 import csv
+import functools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from besov_empirica.errors import ParameterError
+from besov_empirica.oracle import OracleMoments
 
 settings.register_profile(
     "repo",
@@ -114,3 +116,74 @@ def dense_continuous_coefficients(sample, J):
     t = np.arange(m + 1, dtype=np.float64) / m
     alpha = math.sqrt(sample.n) * (np.interp(t, ecdf.xs, ecdf.ys) - t)
     return extract_coefficients(DyadicPathValues(J=J + 1, values=alpha))
+
+
+def _compositions(total: int, parts: int):
+    """All nonnegative integer vectors of length ``parts`` summing to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+@functools.lru_cache(maxsize=None)
+def grouped_reference(n: int, j: int) -> OracleMoments:
+    """Exact moments for ``n`` points over the level-``j`` half cells, by
+    enumeration: the reference the closed-form oracle is tested against.
+
+    Assignments of points to the ``2**(j+1)`` half cells are enumerated as
+    count vectors weighted by multinomial coefficients, which groups the
+    ``(2**(j+1))**n`` equiprobable labeled outcomes without approximation.
+    """
+    m = 1 << (j + 1)
+    cells = 1 << j
+    factorials = [math.factorial(i) for i in range(n + 1)]
+    n_fact = factorials[n]
+
+    w_total = 0
+    w_h = 0
+    w_h2 = 0
+    w_hh = 0
+    w_sum_h = 0
+    w_sum_h_sq = 0
+    w_dev = 0
+    for counts in _compositions(n, m):
+        weight = n_fact
+        for c in counts:
+            weight //= factorials[c]
+        s0 = counts[0] - counts[1]
+        h0 = s0 * s0
+        sum_h = sum(
+            (counts[2 * k] - counts[2 * k + 1]) ** 2 for k in range(cells)
+        )
+        w_total += weight
+        w_h += weight * h0
+        w_h2 += weight * h0 * h0
+        if cells >= 2:
+            h1 = (counts[2] - counts[3]) ** 2
+            w_hh += weight * h0 * h1
+        w_sum_h += weight * sum_h
+        w_sum_h_sq += weight * sum_h * sum_h
+        # |2**-j * sum G - 1| >= 1/2  <=>  2*sum_h <= n or 2*sum_h >= 3n
+        if 2 * sum_h <= n or 2 * sum_h >= 3 * n:
+            w_dev += weight
+    assert w_total == m**n
+
+    e_h = Fraction(w_h, w_total)
+    e_h2 = Fraction(w_h2, w_total)
+    g_scale = Fraction(1 << j, n)
+    e_sum_h = Fraction(w_sum_h, w_total)
+    e_sum_h_sq = Fraction(w_sum_h_sq, w_total)
+    return OracleMoments(
+        n=n,
+        j=j,
+        e_h=e_h,
+        e_h2=e_h2,
+        var_g=g_scale**2 * (e_h2 - e_h**2),
+        e_hh=Fraction(w_hh, w_total) if cells >= 2 else None,
+        e_sum_g=g_scale * e_sum_h,
+        var_sum_g=g_scale**2 * (e_sum_h_sq - e_sum_h**2),
+        prob_deviation_ge_half=Fraction(w_dev, w_total),
+    )

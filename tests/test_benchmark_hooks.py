@@ -79,3 +79,19 @@ def test_traced_verify_all_sees_every_run(tmp_path, capsys):
     assert files == sorted(os.listdir(traced))
     _, mismatch, errors = filecmp.cmpfiles(plain, traced, files, shallow=False)
     assert not mismatch and not errors, (mismatch, errors)
+
+
+def test_moments_report_calls_the_oracle_by_attribute(tmp_path, monkeypatch):
+    # perfbench/tracing.py times ``oracle.enumeration_oracle`` as montecarlo's
+    # attribute; a report that bound it by reference would read 0 there.
+    calls = []
+    oracle = montecarlo.enumeration_oracle
+
+    def counting(n, j):
+        calls.append((n, j))
+        return oracle(n, j)
+
+    monkeypatch.setattr(montecarlo, "enumeration_oracle", counting)
+    argv = ["verify-moments", "--n", "3", "--j-max", "6", "--replicates", "100"]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) in (0, 2)
+    assert calls == [(3, j) for j in range(4)]

@@ -166,6 +166,17 @@ class TestUsageErrors:
         assert err.startswith("error: j_max: ") and err.count("\n") == 1, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate-empirical", "simulate-bm"])
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_simulate_seed_names_seed(self, tmp_path, capsys, command, seed):
+        # The flag is ``--seed``; ``SeedSpec`` would name its own key.
+        out = tmp_path / "o.json"
+        code = run_cli(command, "--seed", seed, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: seed: must be an unsigned 64-bit integer (got {seed})\n", err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["verify-moments", "verify-concentration", "verify-sandwich"])
     @pytest.mark.parametrize("flag,value", [("--p", "7")])
     def test_unused_exponent_rejected(self, tmp_path, capsys, command, flag, value):

@@ -2,9 +2,16 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from besov_empirica.errors import ParameterError
 from besov_empirica.oracle import enumeration_oracle, oracle_applicable
+
+from conftest import grouped_reference
+
+#: Every instance the oracle accepts at levels 0..4: n <= 24, 12, 8, 6, 4.
+REFERENCE_INSTANCES = [(n, j) for j in range(5) for n in range(1, 25) if oracle_applicable(n, j)]
 
 
 def labeled_brute_force(n, j):
@@ -31,24 +38,25 @@ def labeled_brute_force(n, j):
 
 
 class TestMomentIdentities:
+    # The identities hold for the enumeration, not just for the formulas.
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_first_moment_identity(self, n, j):
-        assert enumeration_oracle(n, j).e_h == Fraction(n, 1 << j)
+        assert grouped_reference(n, j).e_h == Fraction(n, 1 << j)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("j", [1, 2])
     def test_cross_moment_identity(self, n, j):
-        assert enumeration_oracle(n, j).e_hh == Fraction(n * (n - 1), 1 << (2 * j))
+        assert grouped_reference(n, j).e_hh == Fraction(n * (n - 1), 1 << (2 * j))
 
     def test_example_values(self):
-        om = enumeration_oracle(3, 1)
+        om = grouped_reference(3, 1)
         assert om.e_h == Fraction(3, 2)
         assert om.e_hh == Fraction(3, 2)
 
     def test_mean_of_normalized_sum_is_one(self):
         for n, j in [(2, 1), (3, 1), (4, 2)]:
-            om = enumeration_oracle(n, j)
+            om = grouped_reference(n, j)
             assert om.e_sum_g == 1 << j
 
 
@@ -62,8 +70,9 @@ class TestNominalVarianceMismatch:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_closed_form_for_sum_variance(self, n, j):
-        # Independent derivation frozen here: Var(sum_k G_k) = 2**(j+1) * (1 - 1/n).
-        om = enumeration_oracle(n, j)
+        # Independent derivation frozen here: Var(sum_k G_k) = 2**(j+1) * (1 - 1/n),
+        # checked on the enumeration.
+        om = grouped_reference(n, j)
         assert om.var_sum_g == Fraction(1 << (j + 1)) * (1 - Fraction(1, n))
         assert om.nominal_var_sum_g == Fraction(3 * (1 << j)) * (1 - Fraction(1, n))
         assert not om.var_sum_g_matches_nominal
@@ -85,6 +94,27 @@ class TestDeviationProbability:
             for j in (0, 1, 2):
                 om = enumeration_oracle(n, j)
                 assert om.prob_deviation_ge_half <= max(Fraction(1), 4 * om.epsilon)
+
+
+class TestAgainstGroupedReference:
+    def test_instances(self):
+        assert len(REFERENCE_INSTANCES) == 54
+
+    @pytest.mark.parametrize("n,j", REFERENCE_INSTANCES)
+    def test_closed_forms_equal_enumeration(self, n, j):
+        om, ref = enumeration_oracle(n, j), grouped_reference(n, j)
+        assert om == ref
+        assert om.as_dict() == ref.as_dict()
+
+    @given(n=st.integers(1, 8), j=st.integers(0, 3))
+    def test_property_small_instances(self, n, j):
+        if not oracle_applicable(n, j):
+            with pytest.raises(ParameterError):
+                enumeration_oracle(n, j)
+            return
+        om, ref = enumeration_oracle(n, j), grouped_reference(n, j)
+        assert om == ref
+        assert om.as_dict() == ref.as_dict()
 
 
 class TestAgainstLabeledBruteForce:
