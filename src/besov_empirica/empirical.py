@@ -10,9 +10,11 @@ boundary nodes (0, 0) and (1, 1); the two functions are uniformly within
 Both processes have their dyadic coefficients from one per-level cell
 reduction, ``level_cells``: a level-``j`` coefficient is ``2**(j/2)/sqrt(n)``
 times a cell value, the integer score sum for the step process (+1 per
-observation in the cell's left half, -1 in its right half).  The batched
-chunk kernels of ``montecarlo`` sum its output and ``empirical_coefficients``
-scatters it into a triangle.
+observation in the cell's left half, -1 in its right half).  It reads
+samples as the integers ``k`` of the ``k / 2**53`` lattice that
+``sampling.uniform_samples`` draws.  The batched chunk kernels of
+``montecarlo`` sum its output; ``empirical_coefficients``, the one place
+where a float sample becomes a lattice, scatters it into a triangle.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .dyadic import CoefficientTriangle
 # module because perfbench/tracing.py wraps it as this module's attribute.
 from .dyadic import extract_coefficients  # noqa: F401
 from .errors import ParameterError
-from .sampling import EmpiricalSample
+from .sampling import LATTICE_BITS, EmpiricalSample
 
 
 def _check_unit_interval(s) -> np.ndarray:
@@ -145,39 +147,36 @@ def step_coefficient_scale(j: int, n: int) -> float:
     return 2.0 ** (0.5 * j) / math.sqrt(n)
 
 
-#: Knots of ``k / 2**53`` draws are multiples of ``2**-54``: in these units
-#: they are exact integers.
-_KNOT_BITS = 54
-
-
-def level_cells(samples: np.ndarray, J: int, source: str):
+def level_cells(lattice: np.ndarray, J: int, source: str):
     """The occupied cells of levels ``0..J``, samples stacked one replicate a row.
 
-    ``samples`` is a ``(count, n)`` matrix of sorted samples on the
-    ``k / 2**53`` lattice.  Yields, level by level, ``(first, cells,
+    ``lattice`` is a ``(count, n)`` int64 matrix of sorted samples ``k``, each
+    standing for ``k / 2**53``.  Yields, level by level, ``(first, cells,
     values)``: every row's occupied cell indices in row order, their values,
     and where in ``cells`` each row starts.  A cell's coefficient is its value
     times ``step_coefficient_scale(j, n)``; other cells are 0.  The points
     (knots) of a row that share a cell form a run, summed by
     ``np.add.reduceat``: O(count * n) per level, each run and row on its own.
 
-    ``"step"``: the integer score sum ``S`` from the finest half-cell indices
-    ``floor(u * 2**(J+1))``.  ``"continuous"``: ``n * d``, ``d = 2 F(mid) -
-    F(l) - F(r)``, nonzero only on cells holding a knot ``(U_i + U_{i+1}) / 2``
-    of ``continuous_ecdf``.  With fewer cells than sample points it is read
-    from ``n * F`` at the cell's three points (knots below a point plus its
-    fraction of a segment), elsewhere from the tent sum ``-sum_i n * D_i *
-    min(x_i - l, r - x_i)`` (``D_i`` the slope jump at knot ``x_i``): each
-    form where its terms do not cancel.  Knots, gaps and tent heights are
-    exact integers in units of ``2**-54``.
+    ``"step"``: the integer score sum ``S``.  The lattice is the finest grid:
+    a point's level-``j`` cell is ``k >> (53 - j)``, its half the next bit.
+    ``"continuous"``: ``n * d``, ``d = 2 F(mid) - F(l) - F(r)``, nonzero only
+    on cells holding a knot ``(U_i + U_{i+1}) / 2`` of ``continuous_ecdf``.
+    With fewer cells than sample points it is read from ``n * F`` at the
+    cell's three points (knots below a point plus its fraction of a
+    segment), elsewhere from the tent sum ``-sum_i n * D_i * min(x_i - l, r -
+    x_i)`` (``D_i`` the slope jump at knot ``x_i``): each form where its
+    terms do not cancel.  Knots are the float midpoints, ``fl(k_i + k_{i+1})``
+    in units of ``2**-54``; they, the gaps and tent heights are exact integers.
     """
-    count, n = samples.shape
+    count, n = lattice.shape
     if source == "step":
-        bits = J + 1
-        fine = (samples * float(1 << bits)).astype(np.int64)
+        bits, fine = LATTICE_BITS, lattice
     else:
-        bits = _KNOT_BITS
-        fine = ((samples[:, :-1] + samples[:, 1:]) * float(1 << (bits - 1))).astype(np.int64)
+        # Knots in units of 2**-54: int64 -> float64 rounds k_i + k_{i+1} as
+        # the float sum of two draws does.
+        bits = LATTICE_BITS + 1
+        fine = (lattice[:, :-1] + lattice[:, 1:]).astype(np.float64).astype(np.int64)
         ends = np.zeros((count, 1), dtype=np.int64)
         nodes = np.concatenate((ends, fine, ends + (1 << bits)), axis=1)
         gaps = np.diff(nodes, axis=1)
@@ -228,7 +227,9 @@ def empirical_coefficients(
     The occupied cells of ``level_cells`` scattered into a zero triangle:
     ``source="step"`` scales the integer score sums, ``source="continuous"``
     the second differences ``n * d`` of the continuous version, which must
-    be drawn on the ``k / 2**53`` lattice for its knots to be exact.  Both
+    be drawn on the ``k / 2**53`` lattice for its knots to be exact.  The
+    sample becomes that lattice here: ``floor(u * 2**53)`` is exact for any
+    double, so the step source bins as ``halfcell_counts`` does.  Both
     boundary coefficients vanish because the process is 0 at 0 and 1.
     """
     if sample.n < 2:
@@ -237,11 +238,12 @@ def empirical_coefficients(
         raise ParameterError("J", f"need max level >= 1 (got {J})")
     if source not in ("step", "continuous"):
         raise ParameterError("source", f"unknown coefficient source {source!r}")
-    u = sample.sorted_values
-    if source == "continuous" and np.any(np.modf(u * float(1 << (_KNOT_BITS - 1)))[0]):
+    fraction, lattice = np.modf(sample.sorted_values * float(1 << LATTICE_BITS))
+    if source == "continuous" and np.any(fraction):
         raise ParameterError("sample", "the continuous source needs values on the k / 2**53 lattice")
+    lattice = lattice.astype(np.int64)[np.newaxis]
     levels = []
-    for j, (_, cells, values) in enumerate(level_cells(u[np.newaxis], J, source)):
+    for j, (_, cells, values) in enumerate(level_cells(lattice, J, source)):
         level = np.zeros(1 << j)
         level[cells] = values * step_coefficient_scale(j, sample.n)
         levels.append(level)

@@ -4,25 +4,27 @@ chunked aggregation and exact-oracle cross checks.
 A replicate is one fresh sample (or synthesized path) and its level
 statistics; replicates are independent work units addressed by
 ``stream_index``, grouped into fixed-size chunks whose boundaries depend
-only on the replicate count.  Partial results are reduced strictly in
-chunk order, so the output is bit-identical no matter how many worker
-processes ran the chunks or in which order they finished.  Each experiment
+only on the replicate count.  Partial results (``ChunkResult``: ``rows``
+stacked per replicate, ``sums`` added) are combined strictly in chunk
+order, so the output is bit-identical no matter how many worker processes
+ran the chunks or in which order they finished.  Each experiment
 is one ``Experiment`` record, and ``run_experiments`` plans, runs and builds
 the ``Report`` of every run.
 
 The empirical chunk kernels are one batched function, ``_levels_chunk``:
-it draws a chunk's uniform samples as one sorted matrix
-(``sampling.uniform_samples``: the chunk's stream keys derived at once, the
-raw words of short streams computed in one Philox pass and those of long
-ones from one generator re-keyed per stream, and all of them mapped to
-lattice integers in one pass) and sums, level by level, the squares of the
-occupied cells' values that ``empirical.level_cells`` yields for the whole
-chunk, O(n) per level and replicate (``empirical_coefficients`` scatters the
-same cells into a triangle).  A process name only picks the cell source.
-Step-process payloads are integers (per-replicate level sums of
-``H = S**2`` and ``H**2``, per-cell sums of ``S`` and ``H``; per-cell sums
-of ``H**2`` are float64, exact below ``2**53``); the continuous version's
-level sums of the squared second differences ``(n * d)**2`` are float64.
+it draws a chunk's uniform samples as one sorted matrix of lattice
+integers (``sampling.uniform_samples``: the chunk's stream keys derived at
+once, the raw words of short streams computed in one Philox pass and those
+of long ones from one generator re-keyed per stream, and all of them mapped
+to lattice integers in one pass), hands it to ``empirical.level_cells``
+without a float conversion, and sums, level by level, the squares of the
+occupied cells' values it yields for the whole chunk, O(n) per level and
+replicate (``empirical_coefficients`` scatters the same cells into a
+triangle).  A process name only picks the cell source.  Step-process
+payloads are integers (rows of per-replicate level sums of ``H = S**2``
+and ``H**2``; per-cell sums of ``S`` and ``H``, and of ``H**2`` in
+float64, exact below ``2**53``); the continuous version's rows of level
+sums of the squared second differences ``(n * d)**2`` are float64.
 The coefficient scalings ``2**(j/2)/sqrt(n)`` and ``2**j/n`` are applied
 when the report is built.  Band and deviation events compare the doubled
 level sums with ``n`` and ``3n`` (``2*sum_h <= n`` etc.); doubling is
@@ -52,7 +54,7 @@ import multiprocessing
 import sys
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -108,13 +110,13 @@ MAX_RUN_BYTES = 1 << 30
 MAX_LEVEL = MAX_SYNTH_LEVEL - 1
 
 #: Most sample points one chunk may stack (``n * chunk_size``).  The step
-#: kernel peaks near 55 bytes per stacked point (int64 draws and float64
-#: samples, half-cell indices and per-level temporaries; tracemalloc peak of
-#: one chunk at n = 10**4 with 100 replicates), so 2**22 points stay near
-#: 230 MiB, well under 1 GiB.  The continuous kernel also holds knots,
-#: nodes, gaps and slope jumps: 91 to 133 bytes per point (n = 10**4 down
-#: to 4), so at most about 560 MiB.  At small n the per-replicate level sums
-#: dominate; ``CHUNK_PEAK_BYTES`` counts both.
+#: kernels peak near 44 to 48 bytes per stacked point (int64 draws, cell
+#: indices and per-level temporaries; tracemalloc peak of one chunk at
+#: n = 10**4 with 100 replicates), so 2**22 points stay near 190 MiB, well
+#: under 1 GiB.  The continuous kernel also holds knots, nodes, gaps and
+#: slope jumps: 91 to 133 bytes per point (n = 10**4 down to 4), so at most
+#: about 560 MiB.  At small n the per-replicate level sums dominate;
+#: ``CHUNK_PEAK_BYTES`` counts both.
 MAX_CHUNK_POINTS = 1 << 22
 
 #: Kernel -> bytes one running chunk holds at its peak per sample point, per
@@ -125,8 +127,8 @@ MAX_CHUNK_POINTS = 1 << 22
 #: The roynette bytes per replicate and level also cover the chunk's stream
 #: keys.
 CHUNK_PEAK_BYTES = {
-    "moment": (90, 64, 76),
-    "step_levels": (84, 32, 0),
+    "moment": (82, 64, 76),
+    "step_levels": (76, 32, 0),
     "continuous_levels": (136, 32, 0),
     "roynette": (0, 48, 20),
 }
@@ -271,7 +273,8 @@ def check_run(config: ExperimentConfig, kind: str) -> None:
     """Reject, before any draw, a ``verify-<kind>`` run that cannot go ahead.
 
     ``kind`` is an ``EXPERIMENTS`` key.  Checks ``check_settings``, the
-    sample-point cap of a kernel that stacks sample points, the
+    sample-point cap of a kernel that stacks sample points (on the chunks
+    the run stacks: ``chunk_size`` replicates, or ``R`` if fewer), the
     experiment's own bounds (its record's ``check``), and ``run_bytes``
     against ``MAX_RUN_BYTES``.  The level cap stays in ``ExperimentConfig``:
     ``run_bytes`` must never see an unchecked ``J``.
@@ -279,7 +282,7 @@ def check_run(config: ExperimentConfig, kind: str) -> None:
     check_settings(config, kind)
     experiment = EXPERIMENTS[kind]
     if CHUNK_PEAK_BYTES[experiment.kernels[config.process]][0]:
-        check_sample_points(config.n, config.chunk_size)
+        check_sample_points(config.n, min(config.chunk_size, config.R))
     experiment.check(config)
     held = run_bytes(config, kind)
     if held > MAX_RUN_BYTES:
@@ -310,19 +313,22 @@ def chebyshev_deviation_bound(n: int, j: int) -> float:
 
 @dataclass(frozen=True)
 class ChunkResult:
-    """Partial result covering replicates ``start .. start + count - 1``."""
+    """Partial result covering replicates ``start .. start + count - 1``:
+    ``rows`` maps a key to an array of one row per replicate, ``sums`` to an
+    array summed over the chunk's replicates."""
 
     start: int
     count: int
-    payload: dict
+    rows: dict
+    sums: dict = field(default_factory=dict)
 
 
-def aggregate(parts, total: int, reducers: dict) -> dict:
-    """Reduce chunk partials in replicate-index order.
+def aggregate(parts, total: int) -> dict:
+    """Combine chunk partials in replicate-index order.
 
-    ``reducers`` maps payload key to ``"sum"`` (elementwise add) or
-    ``"stack"`` (concatenate along axis 0).  The partials must cover
-    replicates ``0..total-1`` exactly once.
+    The result maps every ``rows`` key to its rows stacked along axis 0, and
+    every ``sums`` key to its arrays added elementwise.  The partials must
+    cover replicates ``0..total-1`` exactly once.
     """
     ordered = sorted(parts, key=lambda part: part.start)
     expected = 0
@@ -335,18 +341,12 @@ def aggregate(parts, total: int, reducers: dict) -> dict:
     if expected != total:
         raise AggregationError(f"partials cover {expected} replicates, expected {total}")
 
-    out = {}
-    for key, mode in reducers.items():
-        chunks = [part.payload[key] for part in ordered]
-        if mode == "sum":
-            acc = np.array(chunks[0], copy=True)
-            for chunk in chunks[1:]:
-                acc += chunk
-            out[key] = acc
-        elif mode == "stack":
-            out[key] = np.concatenate(chunks, axis=0)
-        else:
-            raise ValueError(f"unknown reducer {mode!r}")
+    first, rest = ordered[0], ordered[1:]
+    out = {key: np.concatenate([part.rows[key] for part in ordered]) for key in first.rows}
+    for key, value in first.sums.items():
+        out[key] = np.array(value, copy=True)
+        for part in rest:
+            out[key] += part.sums[key]
     return out
 
 
@@ -398,7 +398,7 @@ def run_chunked(name: str, cfg: ExperimentConfig) -> list:
     reference: a forked worker finds them in the module it inherited, a
     spawned one in the module it imports.
     """
-    kernel = _CHUNK_FUNCTIONS[name][0]
+    kernel = _CHUNK_FUNCTIONS[name]
     args = [(cfg, start, count) for start, count in _chunk_specs(cfg.R, cfg.chunk_size)]
     if cfg.workers <= 1:
         return list(itertools.starmap(kernel, args))
@@ -416,34 +416,29 @@ def run_chunked(name: str, cfg: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _uniform_chunk(cfg: ExperimentConfig, start: int, count: int) -> np.ndarray:
-    """The chunk's sorted uniform samples, one replicate a row: stacked
-    ``sample_uniform`` output, drawn by ``uniform_samples`` for the whole
-    chunk."""
-    return uniform_samples(cfg.n, cfg.seed, start, count)
-
-
 def _levels_chunk(cfg: ExperimentConfig, start: int, count: int, source: str,
                   cells: bool = False) -> ChunkResult:
     """Level sums of squared ``level_cells`` values for one chunk, all levels at once.
 
-    Sums the cell values ``v`` of ``source`` into the per-replicate
+    Sums the cell values ``v`` of ``source`` on the chunk's
+    ``uniform_samples`` lattice into the per-replicate row
     ``sum_h = sum_k v**2``: int64 ``sum_k H`` (``H = S**2``) for the score
     sums ``S`` of ``"step"``, float64 ``sum_k (n * d)**2`` for
-    ``"continuous"``.  When ``cells`` is set (step only), also ``sum_k H**2``
-    plus per-cell sums of ``S``, ``H`` and ``H**2`` over the chunk.
+    ``"continuous"``.  When ``cells`` is set (step only), also the row
+    ``sum_k H**2`` and the sums of ``S``, ``H`` and ``H**2`` per cell over
+    the chunk.
     """
     J = cfg.J
     sum_h = np.empty((count, J + 1), dtype=np.int64 if source == "step" else np.float64)
-    payload = {"sum_h": sum_h}
+    rows, sums = {"sum_h": sum_h}, {}
     if cells:
         ncells = (1 << (J + 1)) - 1
-        sum_h2 = np.empty((count, J + 1), dtype=np.int64)
+        rows["sum_h2"] = sum_h2 = np.empty((count, J + 1), dtype=np.int64)
         cell_s = np.zeros(ncells, dtype=np.int64)
         cell_h = np.zeros(ncells, dtype=np.int64)
         cell_h2 = np.zeros(ncells)
-        payload.update(sum_h2=sum_h2, cell_sum_s=cell_s, cell_sum_h=cell_h, cell_sum_h2=cell_h2)
-    levels = level_cells(_uniform_chunk(cfg, start, count), J, source)
+        sums = {"cell_sum_s": cell_s, "cell_sum_h": cell_h, "cell_sum_h2": cell_h2}
+    levels = level_cells(uniform_samples(cfg.n, cfg.seed, start, count), J, source)
     for j, (first, occupied, v) in enumerate(levels):
         h = v * v
         sum_h[:, j] = np.add.reduceat(h, first)
@@ -454,7 +449,7 @@ def _levels_chunk(cfg: ExperimentConfig, start: int, count: int, source: str,
             np.add.at(cell_s, k0, v)
             np.add.at(cell_h, k0, h)
             np.add.at(cell_h2, k0, hh.astype(np.float64))
-    return ChunkResult(start=start, count=count, payload=payload)
+    return ChunkResult(start, count, rows, sums)
 
 
 def _roynette_chunk(cfg: ExperimentConfig, start: int, count: int) -> ChunkResult:
@@ -478,20 +473,15 @@ def _roynette_chunk(cfg: ExperimentConfig, start: int, count: int) -> ChunkResul
         for j in range(J + 1):
             power_sum = float(draws[1 << j : 1 << (j + 1)].sum())
             stats[i, j] = (2.0 ** -j * power_sum) ** (1.0 / p)
-    return ChunkResult(start=start, count=count, payload={"stat": stats})
+    return ChunkResult(start, count, {"stat": stats})
 
 
-#: Chunk kernel -> (its function, the ``aggregate`` reducer of each key of
-#: its payload).
+#: Chunk kernel -> its function.
 _CHUNK_FUNCTIONS = {
-    "moment": (
-        partial(_levels_chunk, source="step", cells=True),
-        {"cell_sum_s": "sum", "cell_sum_h": "sum", "cell_sum_h2": "sum",
-         "sum_h": "stack", "sum_h2": "stack"},
-    ),
-    "step_levels": (partial(_levels_chunk, source="step"), {"sum_h": "stack"}),
-    "continuous_levels": (partial(_levels_chunk, source="continuous"), {"sum_h": "stack"}),
-    "roynette": (_roynette_chunk, {"stat": "stack"}),
+    "moment": partial(_levels_chunk, source="step", cells=True),
+    "step_levels": partial(_levels_chunk, source="step"),
+    "continuous_levels": partial(_levels_chunk, source="continuous"),
+    "roynette": _roynette_chunk,
 }
 
 
@@ -855,7 +845,7 @@ def run_experiments(configs: dict):
 def _run(kind: str, config: ExperimentConfig) -> Report:
     experiment = EXPERIMENTS[kind]
     kernel = experiment.kernels[config.process]
-    data = aggregate(run_chunked(kernel, config), config.R, _CHUNK_FUNCTIONS[kernel][1])
+    data = aggregate(run_chunked(kernel, config), config.R)
     return experiment.build(config, data)
 
 

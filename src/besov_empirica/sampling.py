@@ -22,8 +22,9 @@ Either way, ``lemire_lattice`` maps the whole chunk's words to lattice
 integers at once, rebuilding the bounded-integer step of
 ``Generator.integers``: numpy's 64-bit Lemire bound and its rejection
 threshold.  A row holding a word numpy would reject (odds about ``2**-53``
-a word) is drawn again by the reference.  These paths lean on four numpy
-internals (the ``SeedSequence`` algorithm, the ``Philox`` state layout,
+a word) is drawn again by the reference.  The chunk stays lattice
+integers, the finest grid the empirical kernels bin on.  These paths lean
+on four numpy internals (the ``SeedSequence`` algorithm, the ``Philox`` state layout,
 the Philox4x64-10 round constants with the counter and buffer order, and
 the Lemire bound); ``tests/test_sampling.py`` pins all four to the
 reference, so a numpy change that moves them fails the tests instead of
@@ -46,7 +47,9 @@ UNIFORM_STREAM = 0
 GAUSSIAN_STREAM = 1
 
 _U64 = 1 << 64
-_MANTISSA = 1 << 53
+#: Uniform draws are integers ``k`` in ``[1, 2**53)`` standing for ``k / 2**53``.
+LATTICE_BITS = 53
+_MANTISSA = 1 << LATTICE_BITS
 # ``Generator.integers(1, _MANTISSA)`` rejects a raw word when the low word
 # of its Lemire product is below this.
 _LEMIRE_THRESHOLD = (_U64 - _MANTISSA + 1) % (_MANTISSA - 1)
@@ -329,17 +332,18 @@ def lemire_lattice(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def uniform_samples(n: int, master_seed: int, start: int, count: int) -> np.ndarray:
     """``sample_uniform`` of the uniform streams ``start .. start + count - 1``.
 
-    Returns their sorted values as a ``(count, n)`` float64 matrix, one
-    stream a row, identical to stacking ``sample_uniform(n, SeedSpec(
-    master_seed, start + i, UNIFORM_STREAM)).sorted_values``.  Each stream's
-    ``n`` raw Philox words fill one row of a ``(count, n)`` uint64 matrix:
-    ``philox_words`` computes them for the whole chunk when ``n`` is below
-    ``SHORT_STREAM_WORDS``, and ``stream_generators`` one stream at a time
-    otherwise.  ``lemire_lattice`` maps all of them to lattice integers at
-    once.  A row holding a word that ``Generator.integers`` would reject
-    (and draw again) is drawn again with ``make_generator``, the reference.
-    The rows are sorted and checked for range and ties once, on the
-    integers.
+    Returns their sorted lattice integers ``k`` as a ``(count, n)`` int64
+    matrix, one stream a row: row ``i`` times ``2**-53`` is
+    ``sample_uniform(n, SeedSpec(master_seed, start + i,
+    UNIFORM_STREAM)).sorted_values``.  Each stream's ``n`` raw Philox words
+    fill one row of a ``(count, n)`` uint64 matrix: ``philox_words`` computes
+    them for the whole chunk when ``n`` is below ``SHORT_STREAM_WORDS``, and
+    ``stream_generators`` one stream at a time otherwise.  ``lemire_lattice``
+    maps all of them to lattice integers at once.  A row holding a word that
+    ``Generator.integers`` would reject (and draw again) is drawn again with
+    ``make_generator``, the reference.  The rows are sorted in place and
+    checked once, raising what ``order_statistics`` raises on a value
+    outside ``(0, 1)`` or a tie.
     """
     if n < 2:
         raise ParameterError("n", f"need at least 2 observations (got {n})")
@@ -353,21 +357,12 @@ def uniform_samples(n: int, master_seed: int, start: int, count: int) -> np.ndar
     for i in np.flatnonzero(rejected.any(axis=1)).tolist():
         rng = make_generator(SeedSpec(master_seed, start + i, UNIFORM_STREAM))
         lattice[i] = rng.integers(1, _MANTISSA, size=n)
-    return _lattice_samples(lattice)
-
-
-def _lattice_samples(lattice: np.ndarray) -> np.ndarray:
-    """Rows of lattice draws ``k`` as sorted samples ``k / 2**53``.
-
-    Sorts ``lattice`` in place and raises what ``order_statistics`` raises
-    when a row leaves ``(0, 1)`` or holds a tie.
-    """
     lattice.sort(axis=1)
     if lattice.size and (lattice[:, 0].min() <= 0 or lattice[:, -1].max() >= _MANTISSA):
         raise ParameterError("values", "sample values must lie strictly inside (0, 1)")
     if np.any(lattice[:, 1:] == lattice[:, :-1]):
-        raise TiesError(f"tied observations in a sample of size {lattice.shape[1]}")
-    return lattice / float(_MANTISSA)
+        raise TiesError(f"tied observations in a sample of size {n}")
+    return lattice
 
 
 @functools.cache
@@ -380,7 +375,8 @@ def check_streams() -> None:
     seed, index = 42, (1 << 32) + 7
     spec = SeedSpec(seed, 0, UNIFORM_STREAM)
     uniforms_match = all(
-        np.array_equal(uniform_samples(n, seed, 0, 1)[0], sample_uniform(n, spec).sorted_values)
+        np.array_equal(uniform_samples(n, seed, 0, 1)[0] / _MANTISSA,
+                       sample_uniform(n, spec).sorted_values)
         for n in (SHORT_STREAM_WORDS - 1, SHORT_STREAM_WORDS)
     )
     normals = next(stream_generators(seed, index, 1, GAUSSIAN_STREAM)).standard_normal(4)

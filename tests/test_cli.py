@@ -140,6 +140,19 @@ class TestUsageErrors:
         assert err.startswith(f"error: {key}: ") and err.count("\n") == 1, err
         assert not out.exists()
 
+    def test_sample_points_cap_counts_the_stacked_chunk(self, tmp_path, capsys):
+        # A run of 100 replicates stacks one chunk of 100 whatever chunk_size
+        # says: 30000 points a replicate fit under the cap at chunk_size 1000
+        # as at the default, and the two write the same tree.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"chunk_size": 1000}))
+        argv = ["verify-sandwich", "--n", "30000", "--replicates", "100"]
+        big, default = tmp_path / "big", tmp_path / "default"
+        code = run_cli(*argv, "--config", str(cfg), "--out", str(big))
+        assert code in (0, 2), capsys.readouterr().err
+        assert run_cli(*argv, "--out", str(default)) == code
+        assert_trees_identical(big, default)
+
     @pytest.mark.parametrize("command", ["simulate-empirical", "verify-sandwich"])
     def test_level_cap_before_allocation(self, tmp_path, capsys, command):
         # 2**29-entry half-cell arrays would not fit; the cap rejects J=28 first.

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from besov_empirica.dyadic import DyadicPathValues, extract_coefficients
 from besov_empirica.empirical import (
@@ -20,6 +22,17 @@ from besov_empirica.errors import ParameterError
 from besov_empirica.sampling import SeedSpec, order_statistics, sample_uniform
 
 from conftest import exact_cell_values, z_indicator
+
+
+def _seeded_sample(i):
+    return sample_uniform(40, SeedSpec(17, i, 0)).sorted_values
+
+
+def _seeded_examples(test):
+    """Pin the ten seeded samples at ``J = 5`` as examples of ``test``."""
+    for i in range(10):
+        test = example(values=_seeded_sample(i), J=5)(test)
+    return test
 
 
 @pytest.fixture
@@ -180,18 +193,48 @@ class TestEmpiricalCoefficients:
             assert tri.mu0 == 0.0
             assert tri.mu1 == 0.0
 
-    def test_step_matches_brute_force_scores_bitwise(self):
-        # Independent oracle: per-point signed indicator sums, then the same
-        # scaling expression.  Equality is exact, not approximate.
-        J = 5
-        for i in range(10):
-            smp = sample_uniform(40, SeedSpec(17, i, 0))
-            tri = empirical_coefficients(smp, J, source="step")
-            for j in range(J + 1):
-                for k in range(1, (1 << j) + 1):
-                    score = sum(z_indicator(u, j, k) for u in smp.sorted_values)
-                    expected = float(score) * step_coefficient_scale(j, smp.n)
-                    assert tri.levels[j][k - 1] == expected
+    @settings(max_examples=40)
+    @given(
+        values=st.one_of(
+            st.integers(0, 9).map(_seeded_sample),
+            st.lists(
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+                # The double just below a level-23 point: rounding instead of
+                # flooring would bin it in the next cell.
+                | st.integers(1, 2**23 - 1).map(lambda k: math.nextafter(k / 2**23, 0.0)),
+                min_size=2, max_size=12, unique=True,
+            ),
+        ),
+        J=st.integers(1, 23),
+    )
+    # Doubles below 2**-53 floor to lattice point 0, the largest below 1 to
+    # 2**53 - 1; the smallest subnormal is 2**-1074.
+    @example(
+        values=[2.0**-1074, 2.0**-60, 0.75 * 2.0**-53, math.nextafter(0.25, 0.0), 0.5,
+                1 - 2.0**-53],
+        J=23,
+    )
+    @_seeded_examples
+    def test_step_matches_brute_force_scores_bitwise(self, values, J):
+        # Independent oracles: per-point signed indicator sums and the dense
+        # half-cell counts of ``halfcell_counts``, then the same scaling
+        # expression.  Equality is exact, not approximate: the float sample
+        # becomes a lattice in ``empirical_coefficients``, and its floor must
+        # bin every double as ``floor(u * 2**(J+1))`` does.
+        smp = order_statistics(values)
+        tri = empirical_coefficients(smp, J, source="step")
+        sums = signed_sums_by_level(halfcell_counts(smp, J), J)
+        for j in range(J + 1):
+            scale = step_coefficient_scale(j, smp.n)
+            assert tri.levels[j].tobytes() == (sums[j] * scale).tobytes(), j
+            # A cell holding no point scores 0, so the nonzero cells must be
+            # among the occupied ones, and each occupied one must score as
+            # the indicators sum.
+            occupied = {math.floor(Fraction(u) * (1 << j)) + 1 for u in smp.sorted_values}
+            assert set((np.flatnonzero(tri.levels[j]) + 1).tolist()) <= occupied
+            for k in occupied:
+                score = sum(z_indicator(u, j, k) for u in smp.sorted_values)
+                assert tri.levels[j][k - 1] == float(score) * scale
 
     def test_scores_match_count_second_differences_exactly(self):
         # The score sum of cell (j, k) equals the integer second difference

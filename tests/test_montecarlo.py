@@ -100,6 +100,14 @@ class TestConfigValidation:
             assert str(err.value) == (
                 "n: at most 4194304 sample points at once (got 50000 * chunk_size 100)"
             )
+        # A run of fewer replicates than chunk_size stacks them all in one
+        # chunk: 30000 points times 100 replicates fit, times 1000 do not.
+        check_run(ExperimentConfig(n=30_000, R=100, chunk_size=1000), "sandwich")
+        with pytest.raises(ParameterError) as err:
+            check_run(ExperimentConfig(n=30_000, R=1000, chunk_size=1000), "sandwich")
+        assert str(err.value) == (
+            "n: at most 4194304 sample points at once (got 30000 * chunk_size 1000)"
+        )
         # A Gaussian run stacks no sample points, so n does not bound its chunk.
         check_run(ExperimentConfig(process="brownian", chunk_size=50_000), "roynette")
 
@@ -145,37 +153,37 @@ class TestSettingsTable:
 class TestAggregate:
     def _parts(self):
         return [
-            ChunkResult(0, 2, {"a": np.array([1.0, 2.0]), "b": np.array([[1], [2]])}),
-            ChunkResult(2, 2, {"a": np.array([10.0, 20.0]), "b": np.array([[3], [4]])}),
-            ChunkResult(4, 1, {"a": np.array([100.0, 200.0]), "b": np.array([[5]])}),
+            ChunkResult(0, 2, {"b": np.array([[1], [2]])}, {"a": np.array([1.0, 2.0])}),
+            ChunkResult(2, 2, {"b": np.array([[3], [4]])}, {"a": np.array([10.0, 20.0])}),
+            ChunkResult(4, 1, {"b": np.array([[5]])}, {"a": np.array([100.0, 200.0])}),
         ]
 
     def test_ordered_reduction(self):
-        out = aggregate(self._parts(), 5, {"a": "sum", "b": "stack"})
+        out = aggregate(self._parts(), 5)
         np.testing.assert_array_equal(out["a"], [111.0, 222.0])
         np.testing.assert_array_equal(out["b"].ravel(), [1, 2, 3, 4, 5])
 
     def test_permuted_arrival_identical(self):
         parts = self._parts()
-        out1 = aggregate(parts, 5, {"a": "sum", "b": "stack"})
-        out2 = aggregate(parts[::-1], 5, {"a": "sum", "b": "stack"})
+        out1 = aggregate(parts, 5)
+        out2 = aggregate(parts[::-1], 5)
         np.testing.assert_array_equal(out1["a"], out2["a"])
         np.testing.assert_array_equal(out1["b"], out2["b"])
 
     def test_missing_replicate(self):
         parts = self._parts()[:2]
         with pytest.raises(AggregationError):
-            aggregate(parts, 5, {"a": "sum"})
+            aggregate(parts, 5)
 
     def test_gap_in_coverage(self):
         parts = [p for p in self._parts() if p.start != 2]
         with pytest.raises(AggregationError):
-            aggregate(parts, 5, {"a": "sum"})
+            aggregate(parts, 5)
 
     def test_duplicated_replicate(self):
-        parts = self._parts() + [ChunkResult(4, 1, {"a": np.zeros(2), "b": np.zeros((1, 1))})]
+        parts = self._parts() + [ChunkResult(4, 1, {"b": np.zeros((1, 1))}, {"a": np.zeros(2)})]
         with pytest.raises(AggregationError):
-            aggregate(parts, 5, {"a": "sum"})
+            aggregate(parts, 5)
 
 
 def _reference_step_chunk(cfg, start, count):
@@ -221,12 +229,14 @@ class TestStepKernel:
         moment = _levels_chunk(cfg, start, count, "step", cells=True)
         levels = _levels_chunk(cfg, start, count, "step")
         assert (moment.start, moment.count) == (start, count)
-        assert set(moment.payload) == set(want)
+        assert set(moment.rows) == {"sum_h", "sum_h2"}
+        assert set(moment.rows) | set(moment.sums) == set(want)
         for key, value in want.items():
-            assert moment.payload[key].dtype == value.dtype, key
-            np.testing.assert_array_equal(moment.payload[key], value, err_msg=key)
-        assert set(levels.payload) == {"sum_h"}
-        np.testing.assert_array_equal(levels.payload["sum_h"], want["sum_h"])
+            got = moment.rows[key] if key in moment.rows else moment.sums[key]
+            assert got.dtype == value.dtype, key
+            np.testing.assert_array_equal(got, value, err_msg=key)
+        assert set(levels.rows) == {"sum_h"} and not levels.sums
+        np.testing.assert_array_equal(levels.rows["sum_h"], want["sum_h"])
 
     def test_cell_sum_bound_checked_before_run(self):
         cfg = ExperimentConfig(n=20_000, R=2**40)
@@ -256,8 +266,8 @@ class TestGaussianKernel:
             want[i] = [level_statistic(gp.triangle, j, params) for j in range(J + 1)]
         got = _roynette_chunk(cfg, start, count)
         assert (got.start, got.count) == (start, count)
-        assert set(got.payload) == {"stat"}
-        np.testing.assert_array_equal(got.payload["stat"], want)
+        assert set(got.rows) == {"stat"} and not got.sums
+        np.testing.assert_array_equal(got.rows["stat"], want)
 
 
 class TestChunkPeakEstimate:
@@ -287,7 +297,7 @@ class TestChunkPeakEstimate:
     )
     def test_traced_peak_within_estimate(self, kernel, process, n, J, count):
         cfg = ExperimentConfig(process=process, n=n, J=J, R=max(count, 100), chunk_size=count)
-        chunk, _ = _CHUNK_FUNCTIONS[kernel]
+        chunk = _CHUNK_FUNCTIONS[kernel]
         chunk(cfg, 0, 2)  # first-call allocations are not the chunk's
         tracemalloc.start()
         try:
@@ -378,9 +388,9 @@ class TestContinuousKernel:
         cfg = ExperimentConfig(process="empirical-continuous", n=n, J=J, seed=seed)
         got = _levels_chunk(cfg, start, count, "continuous")
         assert (got.start, got.count) == (start, count)
-        assert set(got.payload) == {"sum_h"}
-        assert got.payload["sum_h"].shape == (count, J + 1)
-        stat_sq = got.payload["sum_h"] / n
+        assert set(got.rows) == {"sum_h"} and not got.sums
+        assert got.rows["sum_h"].shape == (count, J + 1)
+        stat_sq = got.rows["sum_h"] / n
         # The dense path rounds each grid value of sqrt(n) * (F(t) - t) by a
         # few eps * sqrt(n) (at most 3 in these units when measured), so each
         # of its coefficients may be off by 32 * 2**(j/2) * eps * sqrt(n).
@@ -405,7 +415,7 @@ class TestContinuousKernel:
     )
     def test_matches_rational_arithmetic_small_n(self, n, start, count, seed):
         cfg = ExperimentConfig(process="empirical-continuous", n=n, J=6, seed=seed)
-        got = _levels_chunk(cfg, start, count, "continuous").payload["sum_h"] / n
+        got = _levels_chunk(cfg, start, count, "continuous").rows["sum_h"] / n
         for i, sample in enumerate(_sample_stream(cfg, start, count)):
             _assert_exact(got[i], _exact_stat_sq(sample, cfg.J))
 
@@ -415,7 +425,7 @@ class TestContinuousKernel:
         # cancel: summed as they are, they missed these statistics by up to
         # 2e-11 relative.  The kernel reads those levels from the CDF instead.
         cfg = ExperimentConfig(process="empirical-continuous", n=1000, J=6, seed=seed)
-        got = _levels_chunk(cfg, 0, 10, "continuous").payload["sum_h"] / cfg.n
+        got = _levels_chunk(cfg, 0, 10, "continuous").rows["sum_h"] / cfg.n
         for i, sample in enumerate(_sample_stream(cfg, 0, 10)):
             _assert_exact(got[i], _exact_stat_sq(sample, cfg.J))
 
@@ -434,13 +444,15 @@ class TestContinuousKernel:
         ],
     )
     def test_knots_on_cell_edges(self, monkeypatch, values, zero_from):
-        sample = order_statistics(values)
+        # The kernel draws lattice integers; the sample is their values.
+        lattice = np.floor(np.array(values) * 2**53).astype(np.int64)
+        sample = order_statistics(lattice / 2**53)
         monkeypatch.setattr(
-            montecarlo, "_uniform_chunk",
-            lambda cfg, start, count: np.tile(sample.sorted_values, (count, 1)),
+            montecarlo, "uniform_samples",
+            lambda n, seed, start, count: np.tile(lattice, (count, 1)),
         )
         cfg = ExperimentConfig(process="empirical-continuous", n=sample.n, J=12)
-        got = _levels_chunk(cfg, 0, 2, "continuous").payload["sum_h"] / cfg.n
+        got = _levels_chunk(cfg, 0, 2, "continuous").rows["sum_h"] / cfg.n
         exact = _exact_stat_sq(sample, cfg.J)
         for row in got:
             _assert_exact(row, exact)

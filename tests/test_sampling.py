@@ -13,7 +13,6 @@ from besov_empirica.sampling import (
     UNIFORM_STREAM,
     EmpiricalSample,
     SeedSpec,
-    _lattice_samples,
     lemire_lattice,
     make_generator,
     order_statistics,
@@ -133,8 +132,8 @@ class TestBatchedStreams:
             for i in range(count)
         ]
         got = uniform_samples(n, seed, start, count)
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got, np.stack(want))
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got / 2**53, np.stack(want))
 
     @pytest.mark.parametrize("n", [2, 3, SHORT_STREAM_WORDS - 1])
     def test_short_streams_skip_stream_generators(self, monkeypatch, n):
@@ -144,7 +143,7 @@ class TestBatchedStreams:
         monkeypatch.setattr(sampling, "stream_generators", refuse)
         want = [sample_uniform(n, SeedSpec(SEED, 9 + i, UNIFORM_STREAM)).sorted_values
                 for i in range(4)]
-        np.testing.assert_array_equal(uniform_samples(n, SEED, 9, 4), np.stack(want))
+        np.testing.assert_array_equal(uniform_samples(n, SEED, 9, 4) / 2**53, np.stack(want))
 
     @pytest.mark.parametrize("n", [SHORT_STREAM_WORDS, 100])
     def test_long_streams_use_stream_generators(self, monkeypatch, n):
@@ -163,21 +162,30 @@ class TestBatchedStreams:
         with pytest.raises(ParameterError):
             uniform_samples(1, SEED, 0, 2)
 
-    def test_planted_tie_raises_as_sample_uniform(self):
+    @staticmethod
+    def _plant(monkeypatch, lattice):
+        """Make ``uniform_samples(3, SEED, 0, 2)`` draw ``lattice``."""
+        monkeypatch.setattr(
+            sampling, "lemire_lattice", lambda words: (lattice, np.zeros(lattice.shape, bool))
+        )
+
+    def test_planted_tie_raises_as_sample_uniform(self, monkeypatch):
         lattice = np.array([[5, 9, 1], [2**52, 7, 2**52]], dtype=np.int64)
         with pytest.raises(TiesError) as want:
             order_statistics(lattice[1] / 2**53)
+        self._plant(monkeypatch, lattice)
         with pytest.raises(TiesError) as got:
-            _lattice_samples(lattice)
+            uniform_samples(3, SEED, 0, 2)
         assert str(got.value) == str(want.value) == "tied observations in a sample of size 3"
 
     @pytest.mark.parametrize("planted", [0, 2**53])
-    def test_planted_endpoint_raises_as_sample_uniform(self, planted):
+    def test_planted_endpoint_raises_as_sample_uniform(self, monkeypatch, planted):
         lattice = np.array([[5, 9, 1], [3, planted, 4]], dtype=np.int64)
         with pytest.raises(ParameterError) as want:
             order_statistics(lattice[1] / 2**53)
+        self._plant(monkeypatch, lattice)
         with pytest.raises(ParameterError) as got:
-            _lattice_samples(lattice)
+            uniform_samples(3, SEED, 0, 2)
         assert str(got.value) == str(want.value)
 
 
@@ -235,7 +243,8 @@ class TestLemireLattice:
             sample_uniform(n, SeedSpec(SEED, start + i, UNIFORM_STREAM)).sorted_values
             for i in range(count)
         ]
-        np.testing.assert_array_equal(uniform_samples(n, SEED, start, count), np.stack(want))
+        got = uniform_samples(n, SEED, start, count)
+        np.testing.assert_array_equal(got / 2**53, np.stack(want))
 
 
 _KEY = st.integers(0, 2**64 - 1)
