@@ -22,9 +22,9 @@ occupied cells' values it yields for the whole chunk, O(n) per level and
 replicate (``empirical_coefficients`` scatters the same cells into a
 triangle).  A process name only picks the cell source.  Step-process
 payloads are integers (rows of per-replicate level sums of ``H = S**2``
-and ``H**2``; per-cell sums of ``S`` and ``H``, and of ``H**2`` in
-float64, exact below ``2**53``); the continuous version's rows of level
-sums of the squared second differences ``(n * d)**2`` are float64.
+and ``H**2``; per-cell sums of ``S``, ``H`` and ``H**2``, the last in
+float64, exact below ``2**53``, up to ``COVERAGE_MAX_LEVEL``); the
+continuous version's level sums of ``(n * d)**2`` are float64.
 The coefficient scalings ``2**(j/2)/sqrt(n)`` and ``2**j/n`` are applied
 when the report is built.  Band and deviation events compare the doubled
 level sums with ``n`` and ``3n`` (``2*sum_h <= n`` etc.); doubling is
@@ -70,7 +70,7 @@ from .empirical import level_cells, step_coefficient_scale
 from .empirical import empirical_coefficients, halfcell_counts, signed_sums_by_level  # noqa: F401
 from .errors import AggregationError, ParameterError
 from .gaussian import MAX_SYNTH_LEVEL, brownian_motion
-from .oracle import enumeration_oracle, oracle_applicable
+from .oracle import enumeration_oracle, nominal_sum_variance, oracle_applicable, sum_variance
 from .sampling import GAUSSIAN_STREAM, check_streams, stream_generators, uniform_samples
 # Reference-only: ``uniform_samples`` draws the same samples a chunk at a time.
 # perfbench/tracing.py wraps it as this module's attribute.
@@ -106,7 +106,7 @@ MAX_MOMENT_SAMPLE = 20_000
 MAX_RUN_BYTES = 1 << 30
 
 #: Largest max level any run accepts: the Gaussian synthesis cap, which also
-#: keeps the empirical half-cell arrays (``2**(J+1)`` entries) desk-scale.
+#: keeps ``2**(J+1)``-entry draw buffers and coefficient triangles desk-scale.
 MAX_LEVEL = MAX_SYNTH_LEVEL - 1
 
 #: Most sample points one chunk may stack (``n * chunk_size``).  The step
@@ -120,17 +120,17 @@ MAX_LEVEL = MAX_SYNTH_LEVEL - 1
 MAX_CHUNK_POINTS = 1 << 22
 
 #: Kernel -> bytes one running chunk holds at its peak per sample point, per
-#: replicate and level, and per finest cell (``2**(J+1)``, the moment
-#: kernel's dense sums or the Gaussian chunk's draw buffer).  Rounded up
-#: from tracemalloc peaks of one chunk at n = 2 .. 10**4 and J = 6 .. 20,
-#: the pickled result included; ``tests/test_montecarlo.py`` checks them.
-#: The roynette bytes per replicate and level also cover the chunk's stream
-#: keys.
+#: replicate and level, per finest cell (``2**(J+1)``, the Gaussian draw
+#: buffer) and per chunk (the moment kernel's 511 or fewer per-cell sums and
+#: their pickled copy).  Rounded up from tracemalloc peaks of one chunk at
+#: n = 2 .. 10**4 and J = 6 .. 20, the pickled result included;
+#: ``tests/test_montecarlo.py`` checks them.  The roynette bytes per
+#: replicate and level also cover the chunk's stream keys.
 CHUNK_PEAK_BYTES = {
-    "moment": (82, 64, 76),
-    "step_levels": (76, 32, 0),
-    "continuous_levels": (136, 32, 0),
-    "roynette": (0, 48, 20),
+    "moment": (82, 64, 0, 48 << 10),
+    "step_levels": (76, 32, 0, 0),
+    "continuous_levels": (136, 32, 0, 0),
+    "roynette": (0, 48, 20, 0),
 }
 
 #: Most worker processes a run may start.
@@ -252,8 +252,8 @@ def check_settings(config: ExperimentConfig, kind: str) -> None:
 def chunk_peak_bytes(kernel: str, n: int, J: int, count: int) -> int:
     """Estimated peak bytes of one running ``kernel`` chunk of ``count``
     replicates, its pickled result included (``CHUNK_PEAK_BYTES``)."""
-    per_point, per_level, per_cell = CHUNK_PEAK_BYTES[kernel]
-    return count * (per_point * n + per_level * (J + 1)) + per_cell * (1 << (J + 1))
+    per_point, per_level, per_cell, per_chunk = CHUNK_PEAK_BYTES[kernel]
+    return count * (per_point * n + per_level * (J + 1)) + per_cell * (1 << (J + 1)) + per_chunk
 
 
 def run_bytes(config: ExperimentConfig, kind: str) -> int:
@@ -262,11 +262,11 @@ def run_bytes(config: ExperimentConfig, kind: str) -> int:
     runs at once, one per worker up to the chunk count."""
     experiment = EXPERIMENTS[kind]
     n, J, R = config.n, config.J, config.R
-    per_cell, per_cell_chunk, per_level, per_replicate = experiment.held_bytes
+    per_chunk, per_level, per_replicate = experiment.held_bytes
     chunks = -(-R // config.chunk_size)
     peak = chunk_peak_bytes(experiment.kernels[config.process], n, J, min(config.chunk_size, R))
-    held = (1 << (J + 1)) * (per_cell + per_cell_chunk * chunks)
-    return min(config.workers, chunks) * peak + held + R * (per_level * (J + 1) + per_replicate)
+    held = per_chunk * chunks + R * (per_level * (J + 1) + per_replicate)
+    return min(config.workers, chunks) * peak + held
 
 
 def check_run(config: ExperimentConfig, kind: str) -> None:
@@ -286,15 +286,12 @@ def check_run(config: ExperimentConfig, kind: str) -> None:
     experiment.check(config)
     held = run_bytes(config, kind)
     if held > MAX_RUN_BYTES:
-        # Blame the workers if one would do, else the replicates unless even
-        # the fewest would not fit.
-        one = replace(config, workers=1)
-        if run_bytes(one, kind) <= MAX_RUN_BYTES:
-            key = "workers"
-        else:
-            key = "replicates" if run_bytes(replace(one, R=100), kind) <= MAX_RUN_BYTES else "j_max"
+        # Blame the workers if one would do, else the replicates: at one
+        # worker and the fewest replicates every run fits, the largest being
+        # a continuous chunk of MAX_CHUNK_POINTS points (about 570 MB).
+        one_fits = run_bytes(replace(config, workers=1), kind) <= MAX_RUN_BYTES
         raise ParameterError(
-            key,
+            "workers" if one_fits else "replicates",
             f"the {kind} run would hold about {held >> 20} MiB, over its {MAX_RUN_BYTES >> 20}"
             f" MiB cap (j_max {config.J}, replicates {config.R}, chunk_size {config.chunk_size},"
             f" workers {config.workers})",
@@ -426,13 +423,13 @@ def _levels_chunk(cfg: ExperimentConfig, start: int, count: int, source: str,
     sums ``S`` of ``"step"``, float64 ``sum_k (n * d)**2`` for
     ``"continuous"``.  When ``cells`` is set (step only), also the row
     ``sum_k H**2`` and the sums of ``S``, ``H`` and ``H**2`` per cell over
-    the chunk.
+    the chunk, at levels ``0..COVERAGE_MAX_LEVEL`` only (511 cells at most).
     """
     J = cfg.J
     sum_h = np.empty((count, J + 1), dtype=np.int64 if source == "step" else np.float64)
     rows, sums = {"sum_h": sum_h}, {}
     if cells:
-        ncells = (1 << (J + 1)) - 1
+        ncells = (2 << min(J, COVERAGE_MAX_LEVEL)) - 1
         rows["sum_h2"] = sum_h2 = np.empty((count, J + 1), dtype=np.int64)
         cell_s = np.zeros(ncells, dtype=np.int64)
         cell_h = np.zeros(ncells, dtype=np.int64)
@@ -445,10 +442,11 @@ def _levels_chunk(cfg: ExperimentConfig, start: int, count: int, source: str,
         if cells:
             hh = h * h
             sum_h2[:, j] = np.add.reduceat(hh, first)
-            k0 = occupied + ((1 << j) - 1)
-            np.add.at(cell_s, k0, v)
-            np.add.at(cell_h, k0, h)
-            np.add.at(cell_h2, k0, hh.astype(np.float64))
+            if j <= COVERAGE_MAX_LEVEL:
+                k0 = occupied + ((1 << j) - 1)
+                np.add.at(cell_s, k0, v)
+                np.add.at(cell_h, k0, h)
+                np.add.at(cell_h2, k0, hh.astype(np.float64))
     return ChunkResult(start, count, rows, sums)
 
 
@@ -541,11 +539,12 @@ def _check_moment_sample(config: ExperimentConfig) -> None:
 
 def _moment_report(config: ExperimentConfig, data: dict) -> Report:
     """Every tracked moment of the step-process coefficients, with standard
-    errors and oracle cross checks."""
+    errors and oracle cross checks; per-cell ones up to ``COVERAGE_MAX_LEVEL``."""
     J, n, R = config.J, config.n, config.R
+    max_level = min(COVERAGE_MAX_LEVEL, J)
 
     cell_stats = {}
-    for j in range(J + 1):
+    for j in range(max_level + 1):
         cells = slice((1 << j) - 1, (2 << j) - 1)
         s, h, h2 = data["cell_sum_s"][cells], data["cell_sum_h"][cells], data["cell_sum_h2"][cells]
         # alpha = scale * S and G = 2**j/n * H, so alpha**2 = G.
@@ -620,12 +619,11 @@ def _moment_report(config: ExperimentConfig, data: dict) -> Report:
             )
         oracle_blocks.append(block)
     oracle_ok = all(c["within"] for block in oracle_blocks for c in block["comparisons"])
-    mismatch = not all(block["var_sum_g_matches_nominal"] for block in oracle_blocks)
+    mismatch = any(sum_variance(n, j) != nominal_sum_variance(n, j) for j in range(J + 1))
 
-    max_level = min(COVERAGE_MAX_LEVEL, J)
     covered = np.concatenate([
-        np.abs(cell_stats[j]["mean_g"] - 1.0) <= COVERAGE_SE_MULTIPLIER * cell_stats[j]["se_g"]
-        for j in range(max_level + 1)
+        np.abs(stats["mean_g"] - 1.0) <= COVERAGE_SE_MULTIPLIER * stats["se_g"]
+        for stats in cell_stats.values()
     ])
     hits, total = int(np.count_nonzero(covered)), len(covered)
     coverage = {
@@ -794,36 +792,36 @@ class Experiment:
     suite_level: int = 0
 
 
-#: ``verify-<kind>`` -> its experiment.  Held bytes are per finest cell
-#: (``2**(J+1)``), per finest cell and chunk (per-cell sums held until they
-#: are summed), per replicate and level, and per replicate (a band report's
-#: arrays): -2% to +15% of moments peaks at J = 12..19 with 37 MiB of
-#: interpreter, 30 to 90% over the others' at n = 10, R = 2 * 10**5.
+#: ``verify-<kind>`` -> its experiment.  Held bytes are per chunk (the
+#: moment kernel's 511 or fewer per-cell sums, held until they are summed),
+#: per replicate and level, and per replicate (a band report's arrays).
+#: With the chunk peaks, the moments model is 10 to 85% over tracemalloc
+#: peaks of runs at n = 2 .. 100, J = 8 .. 23 and R = 100 .. 20000.
 EXPERIMENTS = {
     "moments": Experiment(
         kernels={"empirical-step": "moment"},
         reads=("n", "J", "R", "seed"),
-        held_bytes=(400, 24, 48, 0),
+        held_bytes=(24 << 9, 48, 0),
         build=_moment_report,
         check=_check_moment_sample,
     ),
     "concentration": Experiment(
         kernels={"empirical-step": "step_levels"},
         reads=("n", "J", "R", "seed"),
-        held_bytes=(0, 0, 32, 0),
+        held_bytes=(0, 32, 0),
         build=_concentration_report,
     ),
     "sandwich": Experiment(
         kernels={"empirical-step": "step_levels", "empirical-continuous": "continuous_levels"},
         reads=("n", "J", "R", "seed"),
-        held_bytes=(0, 0, 32, 160),
+        held_bytes=(0, 32, 160),
         build=_sandwich_report,
         check=_check_sandwich_levels,
     ),
     "roynette": Experiment(
         kernels={"brownian": "roynette", "bridge": "roynette"},
         reads=("J", "R", "p", "seed", "roynette_band_halfwidth"),
-        held_bytes=(0, 0, 32, 160),
+        held_bytes=(0, 32, 160),
         build=_roynette_report,
         suite_level=14,
     ),

@@ -13,9 +13,9 @@ and ``P(|2**-j sum_k G_k - 1| >= 1/2)`` from the exact integer law of
 
 The concentration bound is calibrated to a nominal variance
 ``Var(sum_k G_k) = 2**(2j) * eps(n, j)`` with ``eps = (3 - 3/n) / 2**j``,
-above the exact value (leading constant 3 rather than 2).  Reports carry
-both values and a mismatch flag; the nominal value upper-bounds the exact
-one, so the Chebyshev argument built on it stays valid.
+above the exact value (leading constant 3 rather than 2).  Reports flag
+the gap at every level; the nominal value upper-bounds the exact one, so
+the Chebyshev argument built on it stays valid.
 """
 
 from __future__ import annotations
@@ -47,16 +47,6 @@ class OracleMoments:
     prob_deviation_ge_half: Fraction
 
     @property
-    def expected_e_h(self) -> Fraction:
-        """The exact identity ``n / 2**j``."""
-        return Fraction(self.n, 1 << self.j)
-
-    @property
-    def expected_e_hh(self) -> Fraction:
-        """The exact identity ``n (n-1) / 2**(2j)``."""
-        return Fraction(self.n * (self.n - 1), 1 << (2 * self.j))
-
-    @property
     def epsilon(self) -> Fraction:
         """``(3 - 3/n) / 2**j``, the concentration rate behind the bound."""
         return Fraction(3 * (self.n - 1), self.n * (1 << self.j))
@@ -64,7 +54,7 @@ class OracleMoments:
     @property
     def nominal_var_sum_g(self) -> Fraction:
         """``2**(2j) * epsilon``, the variance the bound is calibrated to."""
-        return (1 << (2 * self.j)) * self.epsilon
+        return nominal_sum_variance(self.n, self.j)
 
     @property
     def var_sum_g_matches_nominal(self) -> bool:
@@ -84,8 +74,6 @@ class OracleMoments:
             "e_sum_g": frac(self.e_sum_g),
             "var_sum_g": frac(self.var_sum_g),
             "prob_deviation_ge_half": frac(self.prob_deviation_ge_half),
-            "expected_e_h": frac(self.expected_e_h),
-            "expected_e_hh": frac(self.expected_e_hh),
             "nominal_var_sum_g": frac(self.nominal_var_sum_g),
             "var_sum_g_matches_nominal": self.var_sum_g_matches_nominal,
         }
@@ -145,9 +133,19 @@ def enumeration_oracle(n: int, j: int) -> OracleMoments:
         var_g=Fraction(cells, n) ** 2 * (e_h2 - e_h**2),
         e_hh=Fraction(n * (n - 1), cells * cells) if cells >= 2 else None,
         e_sum_g=Fraction(cells),
-        var_sum_g=2 * cells * (1 - Fraction(1, n)),
+        var_sum_g=sum_variance(n, j),
         prob_deviation_ge_half=Fraction(deviating, (2 * cells) ** n),
     )
+
+
+def sum_variance(n: int, j: int) -> Fraction:
+    """``Var(sum_k G_k) = 2**(j+1) (1 - 1/n)``, exact for every ``n`` and ``j``."""
+    return (2 << j) * (1 - Fraction(1, n))
+
+
+def nominal_sum_variance(n: int, j: int) -> Fraction:
+    """``2**(2j) * (3 - 3/n) / 2**j = 3 * 2**j (1 - 1/n)``, the calibration of the bound."""
+    return (3 << j) * (1 - Fraction(1, n))
 
 
 def oracle_applicable(n: int, j: int) -> bool:

@@ -283,13 +283,18 @@ class TestUsageErrors:
         assert err.startswith(f"error: {key}: ") and err.count("\n") == 1, err
         assert not out.exists()
 
-    def test_moments_memory_cap_before_draws(self, tmp_path, capsys):
-        # 2**24 cells: the report and the held chunk sums would need ~14 GiB.
+    def test_moments_at_the_deepest_level(self, tmp_path, capsys):
+        # Per-cell sums and the cell table stop at level 8, so no moments
+        # bound grows with 2**j_max.
         out = tmp_path / "o"
-        assert run_cli("verify-moments", "--j-max", "23", "--out", str(out)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: j_max: ") and err.count("\n") == 1, err
-        assert not out.exists()
+        code = run_cli(
+            "verify-moments", "--j-max", "23", "--replicates", "100", "--out", str(out)
+        )
+        assert code in (0, 2)
+        rows = read_report_csv(out / "moments_cells.csv")
+        assert len(rows) == (1 << 9) - 1 and rows[-1]["j"] == "8"
+        levels = read_report_csv(out / "moments_levels.csv")
+        assert [row["j"] for row in levels] == [str(j) for j in range(24)]
 
     @pytest.mark.parametrize(
         "argv,settings",
@@ -696,16 +701,32 @@ class TestPlotData:
         for j, row in enumerate(rows):
             assert float(row["in_band_frequency"]) == report.results["in_band_frequency"][j]
 
-    def test_moment_cells_csv(self, tmp_path):
-        report = run_moment_experiment(ExperimentConfig(n=10, J=6, R=150, seed=5))
+    @pytest.mark.parametrize("J", [6, 10])
+    def test_moment_cells_csv(self, tmp_path, J):
+        # Per-cell statistics cover the levels the coverage rule grades,
+        # 0..min(J, 8); per-level ones every level.
+        report = run_moment_experiment(ExperimentConfig(n=10, J=J, R=150, seed=5))
+        top = min(J, 8)
+        assert list(report.results["cell_stats"]) == list(range(top + 1))
+        assert len(report.results["level_stats"]["mean_h_pooled"]) == J + 1
         out = tmp_path / "cells.csv"
         dyadic.write_csv(out, *report.tables["moments_cells.csv"])
         rows = read_report_csv(out)
-        assert len(rows) == (1 << 7) - 1
+        assert len(rows) == (2 << top) - 1
+        assert (rows[-1]["j"], rows[-1]["k"]) == (str(top), str(1 << top))
         assert float(rows[0]["mean_g"]) == report.results["cell_stats"][0]["mean_g"][0]
 
 
 class TestVerifyCommands:
+    def test_verify_moments_flags_nominal_variance_at_defaults(self, tmp_path, capsys):
+        # n=100 admits no oracle block; the flag comes from the closed forms
+        # Var(sum G) = 2**(j+1) (1 - 1/n) and 3 * 2**j (1 - 1/n).
+        out = tmp_path / "rep"
+        assert run_cli("verify-moments", "--out", str(out)) in (0, 2)
+        results = json.loads((out / "moments.json").read_text())["results"]
+        assert results["oracle"] == []
+        assert results["nominal_variance_mismatch"] is True
+
     def test_verify_sandwich_pass(self, tmp_path, capsys):
         out = tmp_path / "rep"
         code = run_cli(
@@ -1095,7 +1116,7 @@ def tree_digest(directory) -> str:
 #: Digest of ``verify-all --seed 42 --workers 1 --replicates 200 --j-max 10``
 #: (recorded with numpy 2.4).  A change that moves any report byte must
 #: update it on purpose and say why in CHANGES.md.
-GOLDEN_VERIFY_ALL_SHA256 = "335b7aaf26eec1157c0bddfc87122584864a0d25e0781bbf132c3d165c9408db"
+GOLDEN_VERIFY_ALL_SHA256 = "5813358290c5ec2dc6fcb5e8660e8e43f3160c723d637ef12d0bd42d9eb0118f"
 
 
 class TestWorkerPool:
@@ -1175,7 +1196,7 @@ def test_golden_verify_all_digest(tmp_path, capsys):
 #: Digest of ``verify-moments --seed 42 --workers 1 --n 3 --j-max 6
 #: --replicates 2000`` (recorded with numpy 2.4), the one golden tree that
 #: holds oracle blocks (j=0..3).  Same rule as above.
-GOLDEN_ORACLE_MOMENTS_SHA256 = "86d96f1696b00b31d42203e22497a4bd2b703518445e4424ee024f1ad5293658"
+GOLDEN_ORACLE_MOMENTS_SHA256 = "431928cabc7ba1463cc9b64f83e384399e208fb3fc9d56129b640acb41a6765e"
 
 
 def test_golden_oracle_moments_digest(tmp_path, capsys):

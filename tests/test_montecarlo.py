@@ -18,6 +18,7 @@ from besov_empirica.empirical import halfcell_counts, signed_sums_by_level
 from besov_empirica.errors import AggregationError, ParameterError
 from besov_empirica.montecarlo import (
     CONFIG_KEYS,
+    COVERAGE_MAX_LEVEL,
     EXPERIMENTS,
     MAX_WORKERS,
     PROCESSES,
@@ -187,9 +188,10 @@ class TestAggregate:
 
 
 def _reference_step_chunk(cfg, start, count):
-    """The batched kernel's outputs, one replicate and one level at a time."""
+    """The batched kernel's outputs, one replicate and one level at a time;
+    per-cell sums up to ``COVERAGE_MAX_LEVEL``."""
     J = cfg.J
-    ncells = (1 << (J + 1)) - 1
+    ncells = (2 << min(J, COVERAGE_MAX_LEVEL)) - 1
     out = {
         "sum_h": np.zeros((count, J + 1), dtype=np.int64),
         "sum_h2": np.zeros((count, J + 1), dtype=np.int64),
@@ -205,6 +207,8 @@ def _reference_step_chunk(cfg, start, count):
             lo = (1 << j) - 1
             out["sum_h"][i, j] = (s * s).sum()
             out["sum_h2"][i, j] = (s**4).sum()
+            if j > COVERAGE_MAX_LEVEL:
+                continue
             out["cell_sum_s"][lo : lo + (1 << j)] += s
             out["cell_sum_h"][lo : lo + (1 << j)] += s * s
             out["cell_sum_h2"][lo : lo + (1 << j)] += s**4
@@ -319,6 +323,7 @@ class TestRunBytesEstimate:
         [
             ("moments", "empirical-step", 100, 12, 2000),
             ("moments", "empirical-step", 3, 14, 500),
+            ("moments", "empirical-step", 100, 20, 200),
             ("concentration", "empirical-step", 10, 12, 20_000),
             ("sandwich", "empirical-step", 10, 12, 20_000),
             ("sandwich", "empirical-continuous", 10, 12, 20_000),
@@ -340,6 +345,20 @@ class TestRunBytesEstimate:
             for process in ("empirical-step", "empirical-continuous")
         )
         assert abs(step - continuous) <= 0.05 * min(step, continuous), (step, continuous)
+
+
+def test_fewest_replicates_fit_at_one_worker():
+    # check_run blames the workers or the replicates, never j_max: at one
+    # worker and 100 replicates every run fits at the deepest level with the
+    # most sample points a chunk may stack.  Fewer replicates a chunk with
+    # the same points only shrink the per-level term.
+    for kind, experiment in EXPERIMENTS.items():
+        for process in experiment.kernels:
+            cfg = ExperimentConfig(
+                process=process, n=montecarlo.MAX_CHUNK_POINTS // 100, J=montecarlo.MAX_LEVEL,
+                R=100,
+            )
+            assert montecarlo.run_bytes(cfg, kind) <= montecarlo.MAX_RUN_BYTES, (kind, process)
 
 
 def _traced_run_peak(tmp_path, kind, cfg) -> int:
