@@ -111,11 +111,15 @@ def tail_window_start(J: int) -> int:
     return J - (-(-J // 3)) + 1
 
 
-def profile_from_levels(values: np.ndarray, min_levels: int = 7) -> LevelProfile:
+#: Least max level with a meaningful tail window.
+MIN_PROFILE_LEVEL = 6
+
+
+def profile_from_levels(values: np.ndarray) -> LevelProfile:
     values = np.asarray(values, dtype=np.float64)
     J = len(values) - 1
-    if len(values) < min_levels:
-        raise ParameterError("J", f"need max level >= {min_levels - 1} for a tail window (got {J})")
+    if J < MIN_PROFILE_LEVEL:
+        raise ParameterError("J", f"a tail window needs max level >= {MIN_PROFILE_LEVEL} (got {J})")
     if np.any(~np.isfinite(values)) or np.any(values < 0.0):
         raise ParameterError("levels", "level statistics must be finite and nonnegative")
     running_sup = np.maximum.accumulate(values)
@@ -129,9 +133,7 @@ def profile_from_levels(values: np.ndarray, min_levels: int = 7) -> LevelProfile
 
 
 def little_o_profile(coeffs: CoefficientTriangle, params: BesovParams) -> LevelProfile:
-    """Level statistics with sup and tail-min summaries; needs ``J >= 6``."""
-    if coeffs.J < 6:
-        raise ParameterError("J", f"need max level >= 6 for a meaningful tail (got {coeffs.J})")
+    """Level statistics with sup and tail-min summaries; needs ``J >= MIN_PROFILE_LEVEL``."""
     return profile_from_levels(level_statistics(coeffs, params))
 
 

@@ -76,8 +76,6 @@ from .sampling import GAUSSIAN_STREAM, check_streams, stream_generators, uniform
 # perfbench/tracing.py wraps it as this module's attribute.
 from .sampling import sample_uniform  # noqa: F401
 
-PROCESSES = ("empirical-step", "empirical-continuous", "brownian", "bridge")
-
 #: Oracle blocks are attached at the levels up to this cap ``oracle_applicable`` accepts.
 ORACLE_LEVEL_CAP = 3
 
@@ -132,6 +130,10 @@ CHUNK_PEAK_BYTES = {
     "continuous_levels": (136, 32, 0, 0),
     "roynette": (0, 48, 20, 0),
 }
+
+#: Bytes every run holds at its peak beside its arrays: a ``csv`` writer's
+#: record buffer, 32768 UCS-4 characters from its first row on.
+RUN_FIXED_BYTES = 128 << 10
 
 #: Most worker processes a run may start.
 MAX_WORKERS = 64
@@ -257,16 +259,16 @@ def chunk_peak_bytes(kernel: str, n: int, J: int, count: int) -> int:
 
 
 def run_bytes(config: ExperimentConfig, kind: str) -> int:
-    """Estimated peak bytes of a ``verify-<kind>`` run: the record's
-    ``held_bytes`` model plus the ``CHUNK_PEAK_BYTES`` of every chunk that
-    runs at once, one per worker up to the chunk count."""
+    """Estimated peak bytes of a ``verify-<kind>`` run: ``RUN_FIXED_BYTES``,
+    the record's ``held_bytes`` model and the ``CHUNK_PEAK_BYTES`` of every
+    chunk that runs at once, one per worker up to the chunk count."""
     experiment = EXPERIMENTS[kind]
     n, J, R = config.n, config.J, config.R
     per_chunk, per_level, per_replicate = experiment.held_bytes
     chunks = -(-R // config.chunk_size)
     peak = chunk_peak_bytes(experiment.kernels[config.process], n, J, min(config.chunk_size, R))
     held = per_chunk * chunks + R * (per_level * (J + 1) + per_replicate)
-    return min(config.workers, chunks) * peak + held
+    return RUN_FIXED_BYTES + min(config.workers, chunks) * peak + held
 
 
 def check_run(config: ExperimentConfig, kind: str) -> None:
@@ -549,16 +551,11 @@ def _moment_report(config: ExperimentConfig, data: dict) -> Report:
         s, h, h2 = data["cell_sum_s"][cells], data["cell_sum_h"][cells], data["cell_sum_h2"][cells]
         # alpha = scale * S and G = 2**j/n * H, so alpha**2 = G.
         g_scale = (1 << j) / n
-        sums = {
-            "alpha": (s * step_coefficient_scale(j, n), h * g_scale),
-            "g": (h * g_scale, h2 * g_scale**2),
-            "h": (h, h2),
-        }
+        alpha_sums = (s * step_coefficient_scale(j, n), h * g_scale)
+        g_sums = (h * g_scale, h2 * g_scale**2)
         cell_stats[j] = {}
-        for name, (total, total_sq) in sums.items():
-            cell_stats[j][f"mean_{name}"], cell_stats[j][f"se_{name}"] = _mean_se_of_sums(
-                total, total_sq, R
-            )
+        for name, sums in (("alpha", alpha_sums), ("g", g_sums)):
+            cell_stats[j][f"mean_{name}"], cell_stats[j][f"se_{name}"] = _mean_se_of_sums(*sums, R)
 
     level_stats = {}
     for j in range(J + 1):
@@ -577,7 +574,7 @@ def _moment_report(config: ExperimentConfig, data: dict) -> Report:
         g_scale_sq = ((1 << j) / n) ** 2
         influence = (a - mh2) - 2.0 * mh * (b - mh)
         t = ((1 << j) / n) * data["sum_h"][:, j]
-        mt, se_mt = _mean_se(t)
+        mt = float(np.mean(t))
         level = {
             "mean_h_pooled": mh,
             "se_h_pooled": se_mh,
@@ -587,8 +584,6 @@ def _moment_report(config: ExperimentConfig, data: dict) -> Report:
             "se_pair": se_mp,
             "var_g_pooled": g_scale_sq * (mh2 - mh**2),
             "se_var_g_pooled": g_scale_sq * float(np.std(influence, ddof=1) / math.sqrt(R)),
-            "mean_sum_g": mt,
-            "se_sum_g": se_mt,
             "var_sum_g": float(np.var(t, ddof=1)),
             "se_var_sum_g": float(np.std((t - mt) ** 2, ddof=1) / math.sqrt(R)),
         }
@@ -612,8 +607,6 @@ def _moment_report(config: ExperimentConfig, data: dict) -> Report:
                     "moment": moment,
                     "estimate": estimate,
                     "se": se,
-                    "oracle": float(exact),
-                    "oracle_fraction": str(exact),
                     "within": abs(estimate - float(exact)) <= ORACLE_SE_MULTIPLIER * se,
                 }
             )
@@ -680,18 +673,20 @@ def _concentration_report(config: ExperimentConfig, data: dict) -> Report:
     return Report("concentration", config, results, {"concentration.csv": table})
 
 
-def _band_report(kind, config, stat, stat_sq, in_band, top_levels, confidence, statistic, band,
+def _band_report(kind, config, stat, graded, in_band, top_levels, confidence, statistic, band,
                  target=None) -> Report:
-    """Band frequencies plus per-replicate sup and tail-min statistics.
-
-    Passes when the in-band frequency at each of the top ``top_levels``
-    levels reaches ``confidence``.  A ``target`` also fills a CSV column.
+    """Band frequencies, the level statistic's mean and sd, and per replicate
+    ``sup_<key>`` and ``tail_min_<key>`` of ``graded = (key, levels)``, the
+    statistic the band applies to.  Passes when the in-band frequency at each
+    of the top ``top_levels`` levels reaches ``confidence``.  A ``target``
+    also fills a CSV column.
     """
     J = config.J
     tail_start = tail_window_start(J)
     freq = [float(np.mean(in_band[:, j])) for j in range(J + 1)]
     mean = [float(np.mean(stat[:, j])) for j in range(J + 1)]
     sd = [float(np.std(stat[:, j], ddof=1)) for j in range(J + 1)]
+    key, values = graded
     results = {
         "replicates": config.R,
         "statistic": statistic,
@@ -701,10 +696,8 @@ def _band_report(kind, config, stat, stat_sq, in_band, top_levels, confidence, s
         "mean_statistic": mean,
         "sd_statistic": sd,
         "per_replicate": {
-            "sup_stat": stat.max(axis=1),
-            "tail_min_stat": stat[:, tail_start:].min(axis=1),
-            "sup_stat_sq": stat_sq.max(axis=1),
-            "tail_min_stat_sq": stat_sq[:, tail_start:].min(axis=1),
+            f"sup_{key}": values.max(axis=1),
+            f"tail_min_{key}": values[:, tail_start:].min(axis=1),
         },
         "tail_start": tail_start,
         "confidence": confidence,
@@ -725,13 +718,13 @@ def _sandwich_report(config: ExperimentConfig, data: dict) -> Report:
     """Frequencies of ``1/2 <= 2**-j sum_k |c_jk|**2 <= 3/2`` per level.
 
     Passes when the in-band frequency at the top three levels reaches
-    ``SANDWICH_CONFIDENCE``.  Per-replicate sup and tail-min summaries of
-    the (unsquared) level statistic back the finite-norm and
-    nonvanishing-tail surrogates.  The squared statistic is ``sum_h / n``,
-    and the band events compare the doubled ``sum_h`` with ``n`` and ``3n``:
-    doubling is exact, so they are exact on the step process's int64 sums
-    and the continuous version's float64 sums alike.  The aggregated
-    ``sum_h`` is released before the float statistics are built.
+    ``SANDWICH_CONFIDENCE``.  Per-replicate sup and tail-min of the squared
+    level statistic ``sum_h / n``, which the band grades (their roots are
+    the unsquared ones), back the finite-norm and nonvanishing-tail
+    surrogates.  The band events compare the doubled ``sum_h`` with ``n``
+    and ``3n``: doubling is exact, so they are exact on the step process's
+    int64 sums and the continuous version's float64 sums alike.  The
+    aggregated ``sum_h`` is released before the float statistics are built.
     """
     n = config.n
     sum_h = data.pop("sum_h")
@@ -739,7 +732,7 @@ def _sandwich_report(config: ExperimentConfig, data: dict) -> Report:
     stat_sq = sum_h / n
     del sum_h
     return _band_report(
-        "sandwich", config, np.sqrt(stat_sq), stat_sq, in_band,
+        "sandwich", config, np.sqrt(stat_sq), ("stat_sq", stat_sq), in_band,
         top_levels=3, confidence=SANDWICH_CONFIDENCE, statistic="squared_level", band=(0.5, 1.5),
     )
 
@@ -764,7 +757,7 @@ def _roynette_report(config: ExperimentConfig, data: dict) -> Report:
     lo = target - config.roynette_band_halfwidth
     hi = target + config.roynette_band_halfwidth
     return _band_report(
-        "roynette", config, stat, stat**2, (stat >= lo) & (stat <= hi),
+        "roynette", config, stat, ("stat", stat), (stat >= lo) & (stat <= hi),
         top_levels=1, confidence=ROYNETTE_CONFIDENCE, statistic="level", band=(lo, hi),
         target=target,
     )
@@ -794,7 +787,8 @@ class Experiment:
 
 #: ``verify-<kind>`` -> its experiment.  Held bytes are per chunk (the
 #: moment kernel's 511 or fewer per-cell sums, held until they are summed),
-#: per replicate and level, and per replicate (a band report's arrays).
+#: per replicate and level, and per replicate (a band report's two
+#: per-replicate arrays and their JSON lists, ``2 * (8 + 32)``).
 #: With the chunk peaks, the moments model is 10 to 85% over tracemalloc
 #: peaks of runs at n = 2 .. 100, J = 8 .. 23 and R = 100 .. 20000.
 EXPERIMENTS = {
@@ -814,18 +808,21 @@ EXPERIMENTS = {
     "sandwich": Experiment(
         kernels={"empirical-step": "step_levels", "empirical-continuous": "continuous_levels"},
         reads=("n", "J", "R", "seed"),
-        held_bytes=(0, 32, 160),
+        held_bytes=(0, 32, 80),
         build=_sandwich_report,
         check=_check_sandwich_levels,
     ),
     "roynette": Experiment(
         kernels={"brownian": "roynette", "bridge": "roynette"},
         reads=("J", "R", "p", "seed", "roynette_band_halfwidth"),
-        held_bytes=(0, 32, 160),
+        held_bytes=(0, 32, 80),
         build=_roynette_report,
         suite_level=14,
     ),
 }
+
+#: Every process some experiment runs, in ``EXPERIMENTS`` order.
+PROCESSES = tuple(dict.fromkeys(process for e in EXPERIMENTS.values() for process in e.kernels))
 
 
 def run_experiments(configs: dict):

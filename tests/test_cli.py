@@ -619,19 +619,19 @@ def test_readme_lists_config_keys():
     assert documented == list(montecarlo.config_schema())
 
 
-def test_readme_lists_moments_csv_headers(tmp_path, capsys):
+def test_readme_lists_every_csv_header(tmp_path, capsys):
+    # README's "File formats" section gives each table as `name.csv`: `header`.
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
-        text = fh.read()
-    out = tmp_path / "moments"
+        formats = fh.read().split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    documented = dict(re.findall(r"`([a-z_]+\.csv)`: `([^`]*)`", formats))
+    out = tmp_path / "suite"
     code = run_cli(
-        "verify-moments", "--n", "3", "--j-max", "6", "--replicates", "100", "--out", str(out)
+        "verify-all", "--n", "20", "--j-max", "10", "--replicates", "100", "--out", str(out)
     )
     assert code in (0, 2)
-    for name in ("moments_cells.csv", "moments_levels.csv"):
-        match = re.search(rf"`{re.escape(name)}`: `([^`]*)`", text)
-        assert match, f"README lost the header of {name}"
-        assert match.group(1) == (out / name).read_text().splitlines()[0]
+    written = {path.name: path.read_text().splitlines()[0] for path in out.glob("*.csv")}
+    assert written == documented
 
 
 def test_readme_lists_settings_each_command_reads():
@@ -1116,7 +1116,7 @@ def tree_digest(directory) -> str:
 #: Digest of ``verify-all --seed 42 --workers 1 --replicates 200 --j-max 10``
 #: (recorded with numpy 2.4).  A change that moves any report byte must
 #: update it on purpose and say why in CHANGES.md.
-GOLDEN_VERIFY_ALL_SHA256 = "5813358290c5ec2dc6fcb5e8660e8e43f3160c723d637ef12d0bd42d9eb0118f"
+GOLDEN_VERIFY_ALL_SHA256 = "aba67463de928b610e510a56876fef90dcc5a3801fd521b98b43e3e6c40794cc"
 
 
 class TestWorkerPool:
@@ -1166,7 +1166,7 @@ class TestWorkerPool:
 #: Digest of ``verify-sandwich --seed 42 --workers 1 --n 100 --j-max 10
 #: --replicates 200`` on ``empirical-continuous`` (recorded with numpy 2.4),
 #: whose tree lies outside the ``verify-all`` digest.  Same rule as above.
-GOLDEN_CONTINUOUS_SANDWICH_SHA256 = "342f9c719624172aed51398d87aa88f1c1c61a42627efba84bcd144f0a824f80"
+GOLDEN_CONTINUOUS_SANDWICH_SHA256 = "f2d6e75641b86167870f41a33a2d84404bcfe51c623241a1a06b825eebc4f342"
 
 
 def test_golden_continuous_sandwich_digest(tmp_path, capsys):
@@ -1196,7 +1196,7 @@ def test_golden_verify_all_digest(tmp_path, capsys):
 #: Digest of ``verify-moments --seed 42 --workers 1 --n 3 --j-max 6
 #: --replicates 2000`` (recorded with numpy 2.4), the one golden tree that
 #: holds oracle blocks (j=0..3).  Same rule as above.
-GOLDEN_ORACLE_MOMENTS_SHA256 = "431928cabc7ba1463cc9b64f83e384399e208fb3fc9d56129b640acb41a6765e"
+GOLDEN_ORACLE_MOMENTS_SHA256 = "aed78042e30888583cbe3e8f33a3d4b0fba2016505a282d0e5d8554772a5d821"
 
 
 def test_golden_oracle_moments_digest(tmp_path, capsys):

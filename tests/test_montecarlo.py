@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besov_empirica import cli, montecarlo
-from besov_empirica.besov import BesovParams, level_statistic
+from besov_empirica.besov import BesovParams, level_statistic, tail_window_start
 from besov_empirica.empirical import halfcell_counts, signed_sums_by_level
 from besov_empirica.errors import AggregationError, ParameterError
 from besov_empirica.montecarlo import (
@@ -21,6 +21,7 @@ from besov_empirica.montecarlo import (
     COVERAGE_MAX_LEVEL,
     EXPERIMENTS,
     MAX_WORKERS,
+    ORACLE_SE_MULTIPLIER,
     PROCESSES,
     RUN_ONLY_FIELDS,
     _CHUNK_FUNCTIONS,
@@ -328,6 +329,13 @@ class TestRunBytesEstimate:
             ("sandwich", "empirical-step", 10, 12, 20_000),
             ("sandwich", "empirical-continuous", 10, 12, 20_000),
             ("roynette", "brownian", 100, 10, 20_000),
+            # The smallest runs, where what every run holds whatever its
+            # size (``RUN_FIXED_BYTES``) outweighs their arrays.
+            ("moments", "empirical-step", 2, 6, 100),
+            ("concentration", "empirical-step", 2, 6, 100),
+            ("sandwich", "empirical-step", 2, 10, 100),
+            ("sandwich", "empirical-continuous", 2, 10, 100),
+            ("roynette", "brownian", 100, 6, 100),
         ],
     )
     def test_traced_peak_within_estimate(self, tmp_path, capsys, kind, process, n, J, R):
@@ -492,6 +500,20 @@ class TestMoments:
                 assert comp["within"], comp
         assert results["passed"]
 
+    def test_oracle_within_agrees_with_block_fraction(self):
+        # A comparison copies no exact moment: its verdict follows from the
+        # block's own fraction of that moment.
+        cfg = ExperimentConfig(n=3, J=6, R=100, seed=SEED)
+        blocks = run_moment_experiment(cfg).results["oracle"]
+        assert [block["j"] for block in blocks] == [0, 1, 2, 3]
+        comparisons = [(block, comp) for block in blocks for comp in block["comparisons"]]
+        assert len(comparisons) == 4 * 5 - 1  # no e_hh at j = 0, a single cell
+        for block, comp in comparisons:
+            assert set(comp) == {"moment", "estimate", "se", "within"}
+            exact = float(Fraction(block[comp["moment"]]["fraction"]))
+            gap = abs(comp["estimate"] - exact)
+            assert comp["within"] == (gap <= ORACLE_SE_MULTIPLIER * comp["se"]), comp
+
     def test_gaussian_process_rejected(self):
         with pytest.raises(ParameterError):
             run_moment_experiment(ExperimentConfig(process="brownian"))
@@ -587,8 +609,23 @@ class TestSandwich:
         assert results["passed"]
         assert all(f >= 0.95 for f in results["in_band_frequency"][-3:])
         assert results["tail_start"] == 9
-        assert results["per_replicate"]["sup_stat"].shape == (500,)
-        assert np.all(results["per_replicate"]["tail_min_stat"] >= 0.0)
+        assert results["per_replicate"]["sup_stat_sq"].shape == (500,)
+        assert np.all(results["per_replicate"]["tail_min_stat_sq"] >= 0.0)
+
+    @pytest.mark.parametrize(
+        "process,source", [("empirical-step", "step"), ("empirical-continuous", "continuous")]
+    )
+    def test_per_replicate_pair_is_the_graded_statistic(self, process, source):
+        # The band grades the squared statistic sum_h / n, so only its sup
+        # and tail minimum are written; their roots are the unsquared ones
+        # bit for bit, since sqrt is monotone and correctly rounded.
+        cfg = ExperimentConfig(process=process, n=30, J=10, R=150, seed=SEED, chunk_size=70)
+        per = run_sandwich_experiment(cfg).results["per_replicate"]
+        assert set(per) == {"sup_stat_sq", "tail_min_stat_sq"}
+        stat = np.sqrt(_levels_chunk(cfg, 0, cfg.R, source).rows["sum_h"] / cfg.n)
+        tail = stat[:, tail_window_start(cfg.J) :]
+        np.testing.assert_array_equal(np.sqrt(per["sup_stat_sq"]), stat.max(axis=1))
+        np.testing.assert_array_equal(np.sqrt(per["tail_min_stat_sq"]), tail.min(axis=1))
 
     def test_in_band_frequency_trend(self):
         cfg = ExperimentConfig(n=100, J=12, R=500, seed=SEED)
@@ -642,6 +679,17 @@ class TestRoynette:
         )
         results = run_roynette_experiment(cfg).results
         assert results["mean_statistic"][-1] == pytest.approx(3.0**0.25, abs=0.02)
+
+    def test_per_replicate_pair_is_the_graded_statistic(self):
+        # The band grades the unsquared statistic, so only its sup and tail
+        # minimum are written; their squares are the squared ones bit for bit.
+        cfg = ExperimentConfig(process="brownian", J=8, R=150, seed=SEED, chunk_size=70)
+        per = run_roynette_experiment(cfg).results["per_replicate"]
+        assert set(per) == {"sup_stat", "tail_min_stat"}
+        stat_sq = _roynette_chunk(cfg, 0, cfg.R).rows["stat"] ** 2
+        tail = stat_sq[:, tail_window_start(cfg.J) :]
+        np.testing.assert_array_equal(per["sup_stat"] ** 2, stat_sq.max(axis=1))
+        np.testing.assert_array_equal(per["tail_min_stat"] ** 2, tail.min(axis=1))
 
     def test_bridge_report_identical_to_motion(self):
         base = ExperimentConfig(process="brownian", J=10, R=200, seed=SEED)
