@@ -16,7 +16,6 @@ mapping is ``storage index = k - 1``, used consistently everywhere.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -163,13 +162,20 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def _csv_field(value) -> str:
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
 def write_csv(path, header, rows) -> None:
-    """Write a header and rows; floats are written in shortest repr."""
+    """Write a header and rows as ``\r\n``-ended lines of comma-joined fields:
+    floats in shortest repr, ``None`` empty, the rest by ``str``.  Nothing is
+    quoted: every table holds numbers, bools and plain header words."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+            fh.write(",".join(map(_csv_field, row)) + "\r\n")
 
 
 def triangle_to_dict(coeffs: CoefficientTriangle) -> dict:

@@ -131,10 +131,6 @@ CHUNK_PEAK_BYTES = {
     "roynette": (0, 48, 20, 0),
 }
 
-#: Bytes every run holds at its peak beside its arrays: a ``csv`` writer's
-#: record buffer, 32768 UCS-4 characters from its first row on.
-RUN_FIXED_BYTES = 128 << 10
-
 #: Most worker processes a run may start.
 MAX_WORKERS = 64
 
@@ -259,16 +255,16 @@ def chunk_peak_bytes(kernel: str, n: int, J: int, count: int) -> int:
 
 
 def run_bytes(config: ExperimentConfig, kind: str) -> int:
-    """Estimated peak bytes of a ``verify-<kind>`` run: ``RUN_FIXED_BYTES``,
-    the record's ``held_bytes`` model and the ``CHUNK_PEAK_BYTES`` of every
-    chunk that runs at once, one per worker up to the chunk count."""
+    """Estimated peak bytes of a ``verify-<kind>`` run: the record's
+    ``held_bytes`` model and the ``CHUNK_PEAK_BYTES`` of every chunk that
+    runs at once, one per worker up to the chunk count."""
     experiment = EXPERIMENTS[kind]
     n, J, R = config.n, config.J, config.R
     per_chunk, per_level, per_replicate = experiment.held_bytes
     chunks = -(-R // config.chunk_size)
     peak = chunk_peak_bytes(experiment.kernels[config.process], n, J, min(config.chunk_size, R))
     held = per_chunk * chunks + R * (per_level * (J + 1) + per_replicate)
-    return RUN_FIXED_BYTES + min(config.workers, chunks) * peak + held
+    return min(config.workers, chunks) * peak + held
 
 
 def check_run(config: ExperimentConfig, kind: str) -> None:
