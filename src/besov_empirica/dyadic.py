@@ -169,9 +169,9 @@ def _csv_field(value) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header and rows as ``\r\n``-ended lines of comma-joined fields:
-    floats in shortest repr, ``None`` empty, the rest by ``str``.  Nothing is
-    quoted: every table holds numbers, bools and plain header words."""
+    """Write a header and rows as CRLF-ended lines of unquoted, comma-joined
+    fields (no table holds a comma or quote): floats in shortest repr, ``None``
+    empty, anything else by ``str``."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for row in rows:

@@ -560,7 +560,7 @@ def _moment_report(config: ExperimentConfig, data: dict) -> Report:
         b = data["sum_h"][:, j] / k_cells  # per-replicate mean of H
         mh, se_mh = _mean_se(b)
         mh2, se_mh2 = _mean_se(a)
-        mp, se_mp = float("nan"), float("nan")
+        mp = se_mp = None  # level 0 has a single cell, so no pair
         if k_cells >= 2:
             # Mean of H_k H_k' over ordered pairs of distinct cells; the
             # int64 numerator is at most n**4 and exact.
@@ -624,7 +624,6 @@ def _moment_report(config: ExperimentConfig, data: dict) -> Report:
         "threshold": COVERAGE_THRESHOLD,
     }
     results = {
-        "replicates": R,
         "cell_stats": cell_stats,
         "level_stats": level_stats,
         "oracle": oracle_blocks,
@@ -664,7 +663,7 @@ def _concentration_report(config: ExperimentConfig, data: dict) -> Report:
         se = math.sqrt(freq * (1.0 - freq) / R)
         ok = freq <= bound + CONCENTRATION_SE_MULTIPLIER * se
         rows.append({"n": n, "j": j, "frequency": freq, "bound": bound, "se": se, "passed": ok})
-    results = {"replicates": R, "rows": rows, "passed": all(row["passed"] for row in rows)}
+    results = {"rows": rows, "passed": all(row["passed"] for row in rows)}
     table = (["n", "j", "frequency", "bound", "se", "pass"], (list(row.values()) for row in rows))
     return Report("concentration", config, results, {"concentration.csv": table})
 
@@ -684,7 +683,6 @@ def _band_report(kind, config, stat, graded, in_band, top_levels, confidence, st
     sd = [float(np.std(stat[:, j], ddof=1)) for j in range(J + 1)]
     key, values = graded
     results = {
-        "replicates": config.R,
         "statistic": statistic,
         "band": list(band),
         "target": target,

@@ -65,7 +65,6 @@ class OracleMoments:
             return None if x is None else {"fraction": str(x), "value": float(x)}
 
         return {
-            "n": self.n,
             "j": self.j,
             "e_h": frac(self.e_h),
             "e_h2": frac(self.e_h2),

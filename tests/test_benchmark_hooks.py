@@ -34,6 +34,7 @@ def _load(name):
 
 TRACING = _load("tracing")
 WORKLOADS = _load("workloads").WORKLOADS
+CHECKS = _load("checks")
 
 
 @pytest.mark.parametrize(
@@ -58,6 +59,17 @@ def test_workload_passes_pre_draw_checks(name, tmp_path, monkeypatch):
     argv = workload.argv(42, str(tmp_path / "out"), workload.write_config(str(tmp_path)))
     with pytest.raises(ReachedDraws):
         cli.main(argv)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_passes_benchmark_checks(name, tmp_path, capsys):
+    # The benchmark grades each workload's report tree with these checks; a
+    # report change that breaks one fails here before it fails the benchmark.
+    workload = WORKLOADS[name]
+    out = str(tmp_path / "out")
+    code = cli.main(workload.argv(42, out, workload.write_config(str(tmp_path))))
+    assert code in workload.expected_exit
+    assert CHECKS.check(workload, 42, out, code) == []
 
 
 def test_traced_verify_all_sees_every_run(tmp_path, capsys):

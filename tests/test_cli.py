@@ -1113,10 +1113,25 @@ def tree_digest(directory) -> str:
     return digest.hexdigest()
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a JSON value")
+
+
+def assert_reports_strict_and_once(directory):
+    """Every JSON file of a report tree parses as strict JSON (RFC 8259 has
+    no ``NaN`` or ``Infinity``), and no ``results`` block restates a
+    ``config`` value: no key of both, and no ``n`` in an oracle block."""
+    for path in sorted(directory.glob("*.json")):
+        doc = json.loads(path.read_text(), parse_constant=_reject_constant)
+        if "results" in doc:
+            assert not set(doc["results"]) & set(doc["config"]), path.name
+            assert not [block for block in doc["results"].get("oracle", []) if "n" in block]
+
+
 #: Digest of ``verify-all --seed 42 --workers 1 --replicates 200 --j-max 10``
 #: (recorded with numpy 2.4).  A change that moves any report byte must
 #: update it on purpose and say why in CHANGES.md.
-GOLDEN_VERIFY_ALL_SHA256 = "aba67463de928b610e510a56876fef90dcc5a3801fd521b98b43e3e6c40794cc"
+GOLDEN_VERIFY_ALL_SHA256 = "a76f98c6a4a169d30319663e4ecac7d41a686a9a9b046df25d436172f9694b6c"
 
 
 class TestWorkerPool:
@@ -1166,7 +1181,7 @@ class TestWorkerPool:
 #: Digest of ``verify-sandwich --seed 42 --workers 1 --n 100 --j-max 10
 #: --replicates 200`` on ``empirical-continuous`` (recorded with numpy 2.4),
 #: whose tree lies outside the ``verify-all`` digest.  Same rule as above.
-GOLDEN_CONTINUOUS_SANDWICH_SHA256 = "f2d6e75641b86167870f41a33a2d84404bcfe51c623241a1a06b825eebc4f342"
+GOLDEN_CONTINUOUS_SANDWICH_SHA256 = "b7afd43e60ae2747494d7d58d7de9ea557cf76e320e0638c563febc22495d22f"
 
 
 def test_golden_continuous_sandwich_digest(tmp_path, capsys):
@@ -1179,6 +1194,7 @@ def test_golden_continuous_sandwich_digest(tmp_path, capsys):
     )
     # The step-process band does not hold for the continuous version at fine levels.
     assert code == 2
+    assert_reports_strict_and_once(out)
     assert tree_digest(out) == GOLDEN_CONTINUOUS_SANDWICH_SHA256
 
 
@@ -1190,13 +1206,14 @@ def test_golden_verify_all_digest(tmp_path, capsys):
     )
     # 200 replicates are too few for the moments coverage rule at n=100.
     assert code == 2
+    assert_reports_strict_and_once(out)
     assert tree_digest(out) == GOLDEN_VERIFY_ALL_SHA256
 
 
 #: Digest of ``verify-moments --seed 42 --workers 1 --n 3 --j-max 6
 #: --replicates 2000`` (recorded with numpy 2.4), the one golden tree that
 #: holds oracle blocks (j=0..3).  Same rule as above.
-GOLDEN_ORACLE_MOMENTS_SHA256 = "aed78042e30888583cbe3e8f33a3d4b0fba2016505a282d0e5d8554772a5d821"
+GOLDEN_ORACLE_MOMENTS_SHA256 = "d1ee8d91ac1366bdb8ac8014d03c83a45acf9db59af29dc4f6a5b2285162c750"
 
 
 def test_golden_oracle_moments_digest(tmp_path, capsys):
@@ -1208,4 +1225,5 @@ def test_golden_oracle_moments_digest(tmp_path, capsys):
     assert code == 0
     report = json.loads((out / "moments.json").read_text())
     assert [block["j"] for block in report["results"]["oracle"]] == [0, 1, 2, 3]
+    assert_reports_strict_and_once(out)
     assert tree_digest(out) == GOLDEN_ORACLE_MOMENTS_SHA256

@@ -1,9 +1,16 @@
+import csv
 import json
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from besov_empirica import cli
 from besov_empirica.dyadic import (
     CoefficientTriangle,
     DyadicPathValues,
@@ -17,8 +24,10 @@ from besov_empirica.dyadic import (
     scale_triangle,
     triangle_from_dict,
     triangle_to_dict,
+    write_csv,
 )
 from besov_empirica.errors import ParameterError
+from besov_empirica.montecarlo import ExperimentConfig, run_experiments
 
 from conftest import random_triangle
 
@@ -198,6 +207,67 @@ class TestSerialization:
         path = DyadicPathValues(J=3, values=rng.normal(size=9))
         back = path_from_dict(json.loads(json.dumps(path_to_dict(path))))
         np.testing.assert_array_equal(back.values, path.values)
+
+
+def _csv_writer_reference(path, header, rows):
+    """The ``csv.writer`` table writer that ``write_csv`` replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
+@pytest.fixture(scope="module")
+def package_headers():
+    """The header of every table the package writes."""
+    small = ExperimentConfig(n=2, J=10, R=100)
+    configs = {kind: small for kind in ("moments", "concentration", "sandwich")}
+    configs["roynette"] = ExperimentConfig(process="brownian", J=6, R=100)
+    tables = [table for _, report in run_experiments(configs) for table in report.tables.values()]
+    return [cli.PROFILE_HEADER] + [header for header, _ in tables]
+
+
+#: Every kind of field a table row holds, floats at their edges included.
+_FIELDS = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308, 1e-300,
+                     1.7976931348623157e308, 1e22, 1e16]),
+)
+
+
+class TestWriteCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_bytes_match_csv_writer(self, package_headers, data):
+        header = data.draw(st.sampled_from(package_headers))
+        row = st.lists(_FIELDS, min_size=len(header), max_size=len(header))
+        rows = data.draw(st.lists(row, max_size=8))
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, reference = Path(tmp, "ours.csv"), Path(tmp, "reference.csv")
+            write_csv(ours, header, iter(rows))
+            _csv_writer_reference(reference, header, rows)
+            assert ours.read_bytes() == reference.read_bytes()
+
+    def test_writing_a_table_holds_no_large_buffer(self, tmp_path):
+        # The per-cell moments table at its deepest, levels 0..8: 511 rows
+        # of 6 fields.  ``run_bytes`` prices no writer buffer, so a writer
+        # that allocates one (``csv.writer`` takes 128 KiB) must not return.
+        rng = np.random.default_rng(0)
+        rows = [[j, k + 1, *rng.normal(size=4).tolist()] for j in range(9) for k in range(1 << j)]
+        header = ["j", "k", "mean_alpha", "se_alpha", "mean_g", "se_g"]
+        write_csv(tmp_path / "warm.csv", header, rows)  # first-call allocations
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "cells.csv", header, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 << 10
 
 
 class TestValidation:

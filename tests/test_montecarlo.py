@@ -329,8 +329,8 @@ class TestRunBytesEstimate:
             ("sandwich", "empirical-step", 10, 12, 20_000),
             ("sandwich", "empirical-continuous", 10, 12, 20_000),
             ("roynette", "brownian", 100, 10, 20_000),
-            # The smallest runs, where what every run holds whatever its
-            # size (``RUN_FIXED_BYTES``) outweighs their arrays.
+            # The smallest runs, where what a run holds whatever its size
+            # (building and writing its report) weighs most against its arrays.
             ("moments", "empirical-step", 2, 6, 100),
             ("concentration", "empirical-step", 2, 6, 100),
             ("sandwich", "empirical-step", 2, 10, 100),
