@@ -169,9 +169,8 @@ def _csv_field(value) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header and rows as CRLF-ended lines of unquoted, comma-joined
-    fields (no table holds a comma or quote): floats in shortest repr, ``None``
-    empty, anything else by ``str``."""
+    """Write a header and rows as CRLF-ended lines of comma-joined fields, unquoted as no
+    table holds a comma or quote: floats in shortest repr, ``None`` empty, else ``str``."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for row in rows:
